@@ -52,11 +52,9 @@ def test_ablation_rsrc_variants(benchmark):
             rows["rsrc-sampled"].append(_run(
                 MSPolicy(p, m, sampler=sampler, seed=seed + 9), cfg, trace))
             rows["rsrc-half"].append(_run(
-                MSPolicy(p, m, use_sampling=False, seed=seed + 9),
-                cfg, trace))
+                MSPolicy(p, m, seed=seed + 9), cfg, trace))
             rows["cpu-only"].append(_run(
-                MSPolicy(p, m, use_sampling=False, default_w=1.0,
-                         seed=seed + 9), cfg, trace))
+                MSPolicy(p, m, default_w=1.0, seed=seed + 9), cfg, trace))
             rows["random-slave"].append(_run(
                 RandomSlavePolicy(p, m, sampler=sampler, seed=seed + 9),
                 cfg, trace))

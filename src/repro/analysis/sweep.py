@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.policies import (
-    FlatPolicy,
-    Policy,
-    make_ms,
-    make_ms_1,
-    make_ms_ns,
-    make_ms_nr,
-)
+from repro.core.policies import Policy, make_policy
 from repro.core.queuing import Workload
 from repro.core.theorem import optimal_masters
 from repro.perf.pool import run_tasks
@@ -125,17 +118,9 @@ BAKEOFF_POLICIES = ("MS", "MS-ns", "MS-nr", "MS-1", "Flat")
 
 def make_bakeoff_policy(name: str, p: int, m: int, sampler, seed: int) -> Policy:
     """Instantiate one of the Figure-4 schedulers by its paper name."""
-    if name == "MS":
-        return make_ms(p, m, sampler, seed=seed)
-    if name == "MS-ns":
-        return make_ms_ns(p, m, seed=seed)
-    if name == "MS-nr":
-        return make_ms_nr(p, m, sampler, seed=seed)
-    if name == "MS-1":
-        return make_ms_1(p, sampler, seed=seed)
-    if name == "Flat":
-        return FlatPolicy(p, seed=seed)
-    raise ValueError(f"unknown bake-off policy {name!r}")
+    if name not in BAKEOFF_POLICIES:
+        raise ValueError(f"unknown bake-off policy {name!r}")
+    return make_policy(name, p, m, sampler, seed)
 
 
 def run_bakeoff(

@@ -155,8 +155,7 @@ def ms_model_calibration(w: Workload, m: int, theta: float,
                 node = int(slaves[self.rng.integers(len(slaves))])
             return Route(node, remote=(node != accept))
 
-    policy = AnalyticSplit(w.p, m, use_sampling=False,
-                           use_reservation=False, seed=seed + 3)
+    policy = AnalyticSplit(w.p, m, use_reservation=False, seed=seed + 3)
     report = replay(cfg, policy, trace, warmup_fraction=0.2).report
     # The Equation-1 combination weights class stretches by arrival rates;
     # class_level_stretch weights by completed counts, which converges to

@@ -137,7 +137,7 @@ class CachingMSPolicy(MSPolicy):
                     # Hits load masters like statics, not like CGI.
                     self.reservation.observe_arrival(RequestKind.STATIC,
                                                      view.now)
-                accept = self._random_alive_master(view)
+                accept = self._accept(view)
                 substitute = Request(
                     req_id=request.req_id,
                     arrival_time=request.arrival_time,

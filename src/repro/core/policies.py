@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -22,13 +22,17 @@ from repro.core.sampling import DemandSampler
 from repro.workload.request import Request, RequestKind
 
 
+#: Idle-ratio discount per unit of outstanding work an M/S dispatcher has
+#: in flight on a resource (see :meth:`MSPolicy._route_dynamic`).
+HERDING_DISCOUNT = 0.5
+
+
 class LoadView(Protocol):
     """What a policy is allowed to observe about the cluster.
 
-    Views may additionally expose a suspicion layer — ``all_healthy()``,
-    ``healthy_array()``, ``is_suspect(node_id)`` (see
-    :class:`repro.sim.cluster.ClusterView`).  Policies probe for it with
-    ``getattr`` so minimal views (tests, external drivers) keep working.
+    Besides membership (``alive``) a view reports *health*: a node is
+    healthy when it is alive and not suspect (failed probe, stale sample,
+    post-recovery probation; see :class:`repro.sim.cluster.ClusterView`).
     """
 
     @property
@@ -36,10 +40,6 @@ class LoadView(Protocol):
 
     @property
     def now(self) -> float: ...
-
-    def cpu_idle(self, node_id: int) -> float: ...
-
-    def disk_avail(self, node_id: int) -> float: ...
 
     def cpu_idle_array(self) -> np.ndarray: ...
 
@@ -52,6 +52,10 @@ class LoadView(Protocol):
     def all_alive(self) -> bool: ...
 
     def alive_array(self) -> np.ndarray: ...
+
+    def all_healthy(self) -> bool: ...
+
+    def healthy_array(self) -> np.ndarray: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,17 +89,9 @@ class Policy(abc.ABC):
                  seed: int = 0):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        ids = frozenset(master_ids)
-        if not ids:
-            raise ValueError("at least one master/acceptor node is required")
-        if not all(0 <= i < num_nodes for i in ids):
-            raise ValueError("master ids out of range")
         self.num_nodes = num_nodes
-        self.master_ids = ids
-        self._masters = np.array(sorted(ids), dtype=np.intp)
-        self._slaves = np.array(
-            sorted(set(range(num_nodes)) - ids), dtype=np.intp
-        )
+        # Not the virtual call: subclass extensions need state built later.
+        Policy.set_masters(self, master_ids)
         self.rng = np.random.default_rng(seed)
 
     def is_master(self, node_id: int) -> bool:
@@ -139,49 +135,21 @@ class Policy(abc.ABC):
         must not feed the response-time estimators — a failure elapsed
         time is not a service-time observation.  Default: ignore."""
 
-    def _stash_decision(self, w: float, eff_cpu: np.ndarray,
-                        eff_disk: np.ndarray, node: int,
-                        gate: Optional[bool]) -> None:
-        """Record a dynamic-dispatch verdict for the tracing layer.
-
-        Called *before* ``record_decision`` moves the admission EWMA, so
-        the stashed gate state is the one the dispatch was gated on.
-        """
-        res = getattr(self, "reservation", None)
-        self.last_decision = (
-            w,
-            rsrc_cost(w, float(eff_cpu[node]), float(eff_disk[node])),
-            gate,
-            None if res is None else res.effective_cap,
-            None if res is None else res.master_fraction,
-        )
-
-    def _random_master(self) -> int:
-        return int(self._masters[self.rng.integers(len(self._masters))])
-
     def _alive(self, view: LoadView, ids: np.ndarray) -> np.ndarray:
         """Restrict a candidate id array to in-service, trusted nodes.
 
-        When the view exposes the suspicion layer, nodes flagged *suspect*
-        (failed probe, stale sample, post-recovery probation) are excluded
-        before formal crash detection removes them from membership.  If
-        suspicion would empty the pool the plain alive set is used — a
-        node with stale load data still beats refusing service.
+        Nodes flagged *suspect* are excluded before formal crash
+        detection removes them from membership.  If suspicion would empty
+        the pool the plain alive set is used — a node with stale load data
+        still beats refusing service.
         """
-        all_healthy = getattr(view, "all_healthy", None)
-        if all_healthy is not None:
-            if all_healthy():
-                return ids
-            alive = view.alive_array()
-            pool = ids[alive[ids]]
-            if len(pool) == 0:
-                return pool
-            trusted = ids[view.healthy_array()[ids]]
-            return trusted if len(trusted) else pool
-        if view.all_alive():
+        if view.all_healthy():
             return ids
-        alive = view.alive_array()
-        return ids[alive[ids]]
+        pool = ids[view.alive_array()[ids]]
+        if len(pool) == 0:
+            return pool
+        trusted = ids[view.healthy_array()[ids]]
+        return trusted if len(trusted) else pool
 
     def _random_alive_master(self, view: LoadView) -> int:
         """An in-service accepting master; any alive node acts as master
@@ -284,9 +252,7 @@ class RoundRobinPolicy(Policy):
             self._next = (self._next + 1) % self.num_nodes
             if not self.failure_aware or view.is_alive(node):
                 return Route(node, remote=False)
-        if self.failure_aware:
-            raise RuntimeError("no nodes in service")
-        return Route(self._next, remote=False)
+        raise RuntimeError("no nodes in service")
 
 
 class LeastActivePolicy(Policy):
@@ -321,29 +287,31 @@ class MSPolicy(Policy):
     * the reservation cap ``theta'_2`` adapts online from monitored ``a``
       and response-time-approximated ``r``.
 
-    Ablations are expressed by the flags (factories below):
+    Ablations are expressed by the arguments (factories below):
 
-    * ``use_sampling=False`` → **M/S-ns** (``w`` fixed at 0.5);
+    * ``sampler=None`` → **M/S-ns** (``w`` fixed at ``default_w``);
     * ``use_reservation=False`` → **M/S-nr** (masters always candidates);
     * ``num_masters == num_nodes`` → **M/S-1** (no slaves; flat + remote
       CGI with the same RSRC selection).
+
+    :meth:`_route_dynamic` is the one dispatch body of the family; the
+    variants below override three hooks instead: :meth:`_accept` (who
+    accepts a request), :meth:`_candidates` (where a dynamic request may
+    run) and :meth:`_capacity` (what an idle node is worth).
     """
 
     def __init__(self, num_nodes: int, num_masters: int,
                  sampler: Optional[DemandSampler] = None,
-                 use_sampling: bool = True,
                  use_reservation: bool = True,
                  reservation_cfg: Optional[ReservationConfig] = None,
                  default_w: float = DEFAULT_W,
-                 seed: int = 0,
-                 herding_discount: float = 0.5):
+                 seed: int = 0):
         if not 1 <= num_masters <= num_nodes:
             raise ValueError(
                 f"need 1 <= num_masters <= num_nodes; got {num_masters}"
             )
         super().__init__(num_nodes, range(num_masters), seed)
-        self.use_sampling = use_sampling
-        self.sampler = sampler if use_sampling else None
+        self.sampler = sampler
         self.default_w = default_w
         self.use_reservation = use_reservation and num_masters < num_nodes
         self.reservation: Optional[ReservationController] = (
@@ -359,35 +327,44 @@ class MSPolicy(Policy):
         self._outstanding_cpu = np.zeros(num_nodes)
         self._outstanding_disk = np.zeros(num_nodes)
         self._dispatched_w: dict[int, float] = {}
-        if not 0.0 < herding_discount <= 1.0:
-            raise ValueError("herding_discount must be in (0, 1]")
-        #: Idle-ratio discount per unit of outstanding work on a resource.
-        self.herding_discount = herding_discount
+
+    # -- hooks ---------------------------------------------------------------
+
+    def _accept(self, view: LoadView) -> int:
+        """The node that accepts a request (and executes it if static)."""
+        return self._random_alive_master(view)
+
+    def _candidates(self, view: LoadView
+                    ) -> Tuple[np.ndarray, Optional[bool]]:
+        """In-service nodes a dynamic request may run on, and the
+        reservation gate verdict (``None`` when the cap does not apply)."""
+        slaves = self._alive(view, self._slaves)
+        masters = self._alive(view, self._masters)
+        if len(slaves) == 0:
+            return masters, None
+        gate = (None if self.reservation is None
+                else self.reservation.admit_to_master())
+        if gate is None or gate:
+            return np.concatenate([slaves, masters]), gate
+        return slaves, gate
+
+    def _capacity(self, view: LoadView) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node CPU and disk capacity, before the herding discount."""
+        return view.cpu_idle_array(), view.disk_avail_array()
 
     # -- routing -------------------------------------------------------------
 
     def route(self, request: Request, view: LoadView) -> Route:
         if self.reservation is not None:
             self.reservation.observe_arrival(request.kind, view.now)
-        accept = self._random_alive_master(view)
+        accept = self._accept(view)
         if request.kind is RequestKind.STATIC:
             return Route(accept, remote=False)
         return self._route_dynamic(request, view, accept)
 
     def _route_dynamic(self, request: Request, view: LoadView,
                        accept: int) -> Route:
-        slaves = self._alive(view, self._slaves)
-        masters = self._alive(view, self._masters)
-        gate = None
-        if len(slaves) == 0:
-            candidates = masters
-        else:
-            if self.reservation is not None:
-                gate = self.reservation.admit_to_master()
-            if gate is None or gate:
-                candidates = np.concatenate([slaves, masters])
-            else:
-                candidates = slaves
+        candidates, gate = self._candidates(view)
         if len(candidates) == 0:
             # Emergency fallback: the reservation cap cannot be honoured
             # when the preferred tier is entirely out of service.
@@ -398,27 +375,40 @@ class MSPolicy(Policy):
                 raise RuntimeError("no nodes in service")
         w = (self.sampler.w(request.type_key) if self.sampler is not None
              else self.default_w)
-        g = self.herding_discount
-        eff_cpu = view.cpu_idle_array() * g ** self._outstanding_cpu
-        eff_disk = view.disk_avail_array() * g ** self._outstanding_disk
+        cpu, disk = self._capacity(view)
+        eff_cpu = cpu * HERDING_DISCOUNT ** self._outstanding_cpu
+        eff_disk = disk * HERDING_DISCOUNT ** self._outstanding_disk
         node = select_min_rsrc(w, eff_cpu, eff_disk, candidates, self.rng)
+        res = self.reservation
         if self.trace_decisions:
-            self._stash_decision(w, eff_cpu, eff_disk, node, gate)
+            # Stashed before record_decision moves the admission EWMA, so
+            # the gate state is the one this dispatch was gated on.
+            self.last_decision = (
+                w, rsrc_cost(w, float(eff_cpu[node]), float(eff_disk[node])),
+                gate,
+                None if res is None else res.effective_cap,
+                None if res is None else res.master_fraction,
+            )
         self._outstanding_cpu[node] += w
         self._outstanding_disk[node] += 1.0 - w
         self._dispatched_w[request.req_id] = w
-        if self.reservation is not None:
-            self.reservation.record_decision(self.is_master(node))
+        if res is not None:
+            res.record_decision(self.is_master(node))
         return Route(node, remote=(node != accept))
 
-    def on_complete(self, request: Request, response_time: float,
-                    on_master: bool, node_id: int) -> None:
+    def on_abort(self, request: Request, node_id: int) -> None:
+        """Release the request's outstanding-work discount (a completion
+        releases it the same way before feeding the estimators)."""
         w = self._dispatched_w.pop(request.req_id, None)
         if w is not None:
             self._outstanding_cpu[node_id] = max(
                 0.0, self._outstanding_cpu[node_id] - w)
             self._outstanding_disk[node_id] = max(
                 0.0, self._outstanding_disk[node_id] - (1.0 - w))
+
+    def on_complete(self, request: Request, response_time: float,
+                    on_master: bool, node_id: int) -> None:
+        self.on_abort(request, node_id)
         if self.reservation is not None:
             self.reservation.observe_response(request.kind, response_time)
         # Online refinement of the sampler from real executions keeps the
@@ -426,14 +416,6 @@ class MSPolicy(Policy):
         if self.sampler is not None and request.is_dynamic:
             self.sampler.observe(request.type_key, request.cpu_demand,
                                  request.io_demand)
-
-    def on_abort(self, request: Request, node_id: int) -> None:
-        w = self._dispatched_w.pop(request.req_id, None)
-        if w is not None:
-            self._outstanding_cpu[node_id] = max(
-                0.0, self._outstanding_cpu[node_id] - w)
-            self._outstanding_disk[node_id] = max(
-                0.0, self._outstanding_disk[node_id] - (1.0 - w))
 
     @property
     def theta_cap(self) -> Optional[float]:
@@ -486,66 +468,33 @@ class FrontEndMSPolicy(MSPolicy):
                 f"accept_node {self.accept_node} must remain a master")
         super().set_masters(ids)
 
-    def route(self, request: Request, view: LoadView) -> Route:
-        if self.reservation is not None:
-            self.reservation.observe_arrival(request.kind, view.now)
-        if request.kind is not RequestKind.DYNAMIC:
-            return Route(self.accept_node, remote=False)
-        return self._route_dynamic(request, view, self.accept_node)
+    def _accept(self, view: LoadView) -> int:
+        return self.accept_node
 
 
-class MSPrimePolicy(Policy):
+class MSPrimePolicy(MSPolicy):
     """The M/S' alternative of Section 3: dynamic requests are pinned to a
     fixed subset of ``k`` nodes (min-RSRC within the subset), while static
-    requests are spread uniformly over **all** nodes."""
+    requests are spread uniformly over **all** nodes — every node is a
+    master and there is no reservation cap."""
 
     def __init__(self, num_nodes: int, num_dynamic_nodes: int,
                  sampler: Optional[DemandSampler] = None,
                  default_w: float = DEFAULT_W, seed: int = 0):
         if not 1 <= num_dynamic_nodes <= num_nodes:
             raise ValueError("need 1 <= num_dynamic_nodes <= num_nodes")
-        # Every node accepts (static goes everywhere); record the dynamic
-        # subset separately.
-        super().__init__(num_nodes, range(num_nodes), seed)
+        super().__init__(num_nodes, num_nodes, sampler=sampler,
+                         default_w=default_w, seed=seed)
         self.dynamic_nodes = np.arange(num_dynamic_nodes, dtype=np.intp)
-        self.sampler = sampler
-        self.default_w = default_w
-        self._outstanding_cpu = np.zeros(num_nodes)
-        self._outstanding_disk = np.zeros(num_nodes)
-        self._dispatched_w: dict[int, float] = {}
-        self.herding_discount = 0.5
 
-    def route(self, request: Request, view: LoadView) -> Route:
-        pool = self._alive(view, np.arange(self.num_nodes, dtype=np.intp))
-        if len(pool) == 0:
-            raise RuntimeError("no nodes in service")
-        accept = int(pool[self.rng.integers(len(pool))])
-        if request.kind is RequestKind.STATIC:
-            return Route(accept, remote=False)
-        w = (self.sampler.w(request.type_key) if self.sampler is not None
-             else self.default_w)
-        g = self.herding_discount
-        eff_cpu = view.cpu_idle_array() * g ** self._outstanding_cpu
-        eff_disk = view.disk_avail_array() * g ** self._outstanding_disk
-        dyn = self._alive(view, self.dynamic_nodes)
-        if len(dyn) == 0:
-            dyn = pool
-        node = select_min_rsrc(w, eff_cpu, eff_disk, dyn, self.rng)
-        if self.trace_decisions:
-            self._stash_decision(w, eff_cpu, eff_disk, node, None)
-        self._outstanding_cpu[node] += w
-        self._outstanding_disk[node] += 1.0 - w
-        self._dispatched_w[request.req_id] = w
-        return Route(node, remote=(node != accept))
+    def _candidates(self, view: LoadView
+                    ) -> Tuple[np.ndarray, Optional[bool]]:
+        return self._alive(view, self.dynamic_nodes), None
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
-        w = self._dispatched_w.pop(request.req_id, None)
-        if w is not None:
-            self._outstanding_cpu[node_id] = max(
-                0.0, self._outstanding_cpu[node_id] - w)
-            self._outstanding_disk[node_id] = max(
-                0.0, self._outstanding_disk[node_id] - (1.0 - w))
+        # M/S' keeps its offline sampler estimates (no online refinement).
+        self.on_abort(request, node_id)
 
 
 class HeteroMSPolicy(MSPolicy):
@@ -582,60 +531,19 @@ class HeteroMSPolicy(MSPolicy):
             raise ValueError("disk speeds must be positive")
         self.cpu_speeds = cpu
         self.disk_speeds = disk
-        master_caps = cpu[self._masters]
-        self._master_weights = master_caps / master_caps.sum()
 
-    def set_masters(self, master_ids: Iterable[int]) -> None:
-        super().set_masters(master_ids)
-        master_caps = self.cpu_speeds[self._masters]
-        self._master_weights = master_caps / master_caps.sum()
-
-    def _random_alive_master(self, view: LoadView) -> int:
+    def _accept(self, view: LoadView) -> int:
         masters = self._alive(view, self._masters)
         if len(masters) == 0:
-            return super()._random_alive_master(view)
+            return self._random_alive_master(view)
         weights = self.cpu_speeds[masters]
         idx = self.rng.choice(len(masters), p=weights / weights.sum())
         return int(masters[idx])
 
-    def _route_dynamic(self, request: Request, view: LoadView,
-                       accept: int) -> Route:
-        slaves = self._alive(view, self._slaves)
-        masters = self._alive(view, self._masters)
-        gate = None
-        if len(slaves) == 0:
-            candidates = masters
-        else:
-            if self.reservation is not None:
-                gate = self.reservation.admit_to_master()
-            if gate is None or gate:
-                candidates = np.concatenate([slaves, masters])
-            else:
-                candidates = slaves
-        if len(candidates) == 0:
-            gate = None
-            candidates = self._alive(
-                view, np.arange(self.num_nodes, dtype=np.intp))
-            if len(candidates) == 0:
-                raise RuntimeError("no nodes in service")
-        w = (self.sampler.w(request.type_key) if self.sampler is not None
-             else self.default_w)
-        g = self.herding_discount
-        # Effective *capacity* per resource: speed times available ratio,
-        # discounted by work this dispatcher has in flight there.
-        eff_cpu = (self.cpu_speeds * view.cpu_idle_array()
-                   * g ** self._outstanding_cpu)
-        eff_disk = (self.disk_speeds * view.disk_avail_array()
-                    * g ** self._outstanding_disk)
-        node = select_min_rsrc(w, eff_cpu, eff_disk, candidates, self.rng)
-        if self.trace_decisions:
-            self._stash_decision(w, eff_cpu, eff_disk, node, gate)
-        self._outstanding_cpu[node] += w
-        self._outstanding_disk[node] += 1.0 - w
-        self._dispatched_w[request.req_id] = w
-        if self.reservation is not None:
-            self.reservation.record_decision(self.is_master(node))
-        return Route(node, remote=(node != accept))
+    def _capacity(self, view: LoadView) -> Tuple[np.ndarray, np.ndarray]:
+        # Speed times available ratio: the effective capacity per resource.
+        return (self.cpu_speeds * view.cpu_idle_array(),
+                self.disk_speeds * view.disk_avail_array())
 
 
 class RedirectMSPolicy(MSPolicy):
@@ -680,7 +588,6 @@ def make_ms(num_nodes: int, num_masters: int,
             reservation_cfg: Optional[ReservationConfig] = None) -> MSPolicy:
     """The full optimized scheduler ("M/S")."""
     return MSPolicy(num_nodes, num_masters, sampler=sampler,
-                    use_sampling=True, use_reservation=True,
                     reservation_cfg=reservation_cfg, seed=seed)
 
 
@@ -688,7 +595,6 @@ def make_ms_ns(num_nodes: int, num_masters: int, seed: int = 0,
                reservation_cfg: Optional[ReservationConfig] = None) -> MSPolicy:
     """M/S-ns: no demand sampling; ``w = 0.5`` for every request."""
     return MSPolicy(num_nodes, num_masters, sampler=None,
-                    use_sampling=False, use_reservation=True,
                     reservation_cfg=reservation_cfg, seed=seed)
 
 
@@ -697,15 +603,14 @@ def make_ms_nr(num_nodes: int, num_masters: int,
                seed: int = 0) -> MSPolicy:
     """M/S-nr: no reservation of master resources for static requests."""
     return MSPolicy(num_nodes, num_masters, sampler=sampler,
-                    use_sampling=True, use_reservation=False, seed=seed)
+                    use_reservation=False, seed=seed)
 
 
 def make_ms_1(num_nodes: int,
               sampler: Optional[DemandSampler] = None,
               seed: int = 0) -> MSPolicy:
     """M/S-1: every node is a master (separation ablation)."""
-    return MSPolicy(num_nodes, num_nodes, sampler=sampler,
-                    use_sampling=True, use_reservation=True, seed=seed)
+    return MSPolicy(num_nodes, num_nodes, sampler=sampler, seed=seed)
 
 
 POLICY_NAMES = ("MS", "MS-ns", "MS-nr", "MS-1", "Flat", "MSPrime",

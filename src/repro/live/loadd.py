@@ -149,9 +149,9 @@ class LoadTable:
 
 class LiveLoadView:
     """Adapter exposing a :class:`LoadTable` through the
-    :class:`repro.core.policies.LoadView` protocol (including the optional
-    suspicion layer), so the *simulator's* dispatch policies run unchanged
-    against live telemetry."""
+    :class:`repro.core.policies.LoadView` protocol (suspicion included),
+    so the *simulator's* dispatch policies run unchanged against live
+    telemetry."""
 
     __slots__ = ("table", "clock")
 
@@ -166,12 +166,6 @@ class LiveLoadView:
     @property
     def now(self) -> float:
         return self.clock.now
-
-    def cpu_idle(self, node_id: int) -> float:
-        return float(self.table.cpu_idle[node_id])
-
-    def disk_avail(self, node_id: int) -> float:
-        return float(self.table.disk_avail[node_id])
 
     def cpu_idle_array(self) -> np.ndarray:
         return self.table.cpu_idle
@@ -191,7 +185,7 @@ class LiveLoadView:
     def alive_array(self) -> np.ndarray:
         return ~self.table.dead
 
-    # -- suspicion layer (probed via getattr by Policy._alive) ------------
+    # -- suspicion ---------------------------------------------------------
 
     def is_suspect(self, node_id: int) -> bool:
         return bool(self.table.suspect_array(self.clock.now)[node_id])

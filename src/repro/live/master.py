@@ -266,6 +266,7 @@ class LiveMetrics:
 
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+                 431: "Request Header Fields Too Large",
                  503: "Service Unavailable"}
 
 
@@ -537,8 +538,10 @@ class MasterServer:
         self.http_connections += 1
         try:
             while True:
-                line = await reader.readline()
-                if not line or line in (b"\r\n", b"\n"):
+                # readuntil, not readline: a line past the stream limit
+                # (64 KiB) raises LimitOverrunError, answered with a 431.
+                line = await reader.readuntil(b"\n")
+                if line in (b"\r\n", b"\n"):
                     break
                 try:
                     method, target, _version = (
@@ -549,8 +552,8 @@ class MasterServer:
                     break
                 close = False
                 while True:         # drain headers
-                    header = await reader.readline()
-                    if header in (b"\r\n", b"\n", b""):
+                    header = await reader.readuntil(b"\n")
+                    if header in (b"\r\n", b"\n"):
                         break
                     if header.lower().startswith(b"connection:") \
                             and b"close" in header.lower():
@@ -563,6 +566,12 @@ class MasterServer:
                 await self._respond(writer, status, payload, raw=raw)
                 if close:
                     break
+        except asyncio.LimitOverrunError:
+            try:
+                await self._respond(writer, 431,
+                                    {"error": "header line too long"})
+            except ConnectionError:
+                pass
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:

@@ -74,12 +74,6 @@ class ClusterView:
     def now(self) -> float:
         return self._cluster.engine.now
 
-    def cpu_idle(self, node_id: int) -> float:
-        return float(self._cluster.monitor.cpu_idle[node_id])
-
-    def disk_avail(self, node_id: int) -> float:
-        return float(self._cluster.monitor.disk_avail[node_id])
-
     def cpu_idle_array(self) -> np.ndarray:
         """Read-only snapshot array (do not mutate)."""
         return self._cluster.monitor.cpu_idle
@@ -108,10 +102,6 @@ class ClusterView:
 
     def is_suspect(self, node_id: int) -> bool:
         return bool(self._cluster.monitor.suspect[node_id])
-
-    def suspect_array(self) -> np.ndarray:
-        """Read-only suspicion snapshot (do not mutate)."""
-        return self._cluster.monitor.suspect
 
     def all_healthy(self) -> bool:
         """O(1) fast path: every node is in service and trusted."""

@@ -50,6 +50,38 @@ def test_single_node_master_serves_in_process():
     assert report.ok, report.render()
 
 
+def test_oversized_header_line_gets_431_and_server_keeps_serving():
+    """A header line past the 64 KiB stream limit is refused with a 431
+    (not a reset connection), and the listener still serves others."""
+
+    async def get(port, extra_headers=b""):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                     + extra_headers + b"\r\n")
+        await writer.drain()
+        status = await reader.readline()
+        body = await reader.read()      # until the server closes
+        writer.close()
+        return status, body
+
+    async def scenario():
+        master = MasterServer(node_id=0, num_nodes=1, workers=1)
+        await master.start()
+        try:
+            big = await get(master.http_port,
+                            b"X-Big: " + b"a" * 70_000 + b"\r\n")
+            fresh = await get(master.http_port, b"Connection: close\r\n")
+            return big, fresh
+        finally:
+            await master.stop()
+
+    (big_status, big_body), (fresh_status, _) = asyncio.run(scenario())
+    assert big_status.startswith(b"HTTP/1.1 431 "
+                                 b"Request Header Fields Too Large")
+    assert b"header line too long" in big_body
+    assert fresh_status.startswith(b"HTTP/1.1 200 OK")
+
+
 @pytest.mark.integration
 def test_loopback_cluster_end_to_end():
     """1 master + 2 slave processes, ~200 mixed requests over real HTTP."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import (
+    HERDING_DISCOUNT,
     DNSAffinityPolicy,
     FlatPolicy,
     LeastActivePolicy,
@@ -36,12 +37,6 @@ class FakeView:
         self.alive = np.array(alive if alive is not None
                               else [True] * num_nodes, dtype=bool)
 
-    def cpu_idle(self, i):
-        return float(self._cpu[i])
-
-    def disk_avail(self, i):
-        return float(self._disk[i])
-
     def cpu_idle_array(self):
         return self._cpu
 
@@ -58,6 +53,12 @@ class FakeView:
         return bool(self.alive.all())
 
     def alive_array(self):
+        return self.alive
+
+    def all_healthy(self):
+        return self.all_alive()
+
+    def healthy_array(self):
         return self.alive
 
 
@@ -193,8 +194,11 @@ class TestMSPolicy:
             MSPolicy(4, 0)
         with pytest.raises(ValueError):
             MSPolicy(4, 5)
-        with pytest.raises(ValueError):
-            MSPolicy(4, 2, herding_discount=0.0)
+
+    def test_herding_discount_is_a_constant(self):
+        assert 0.0 < HERDING_DISCOUNT <= 1.0
+        with pytest.raises(TypeError):
+            MSPolicy(4, 2, herding_discount=0.5)
 
 
 class TestMSPrime:
@@ -211,6 +215,20 @@ class TestMSPrime:
         for i in range(50):
             route = policy.route(make_cgi(req_id=i), view)
             assert route.node_id < 2
+
+    def test_abort_and_complete_release_without_learning(self):
+        sampler = DemandSampler()
+        policy = MSPrimePolicy(8, 2, sampler=sampler, seed=0)
+        view = FakeView(8)
+        aborted, done = make_cgi(req_id=0), make_cgi(req_id=1)
+        node_a = policy.route(aborted, view).node_id
+        node_d = policy.route(done, view).node_id
+        policy.on_abort(aborted, node_a)
+        policy.on_complete(done, 0.05, True, node_d)
+        assert not policy._outstanding_cpu.any()
+        assert not policy._outstanding_disk.any()
+        # M/S' keeps its offline estimates: completions are not sampled.
+        assert sampler.sample_count(done.type_key) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -235,9 +253,10 @@ class TestFactory:
             make_policy("banana", 8)
 
     def test_variant_flags(self):
-        assert make_ms(8, 2).use_sampling
+        sampler = DemandSampler()
+        assert make_ms(8, 2, sampler).sampler is sampler
         assert make_ms(8, 2).use_reservation
-        assert not make_ms_ns(8, 2).use_sampling
+        assert make_ms_ns(8, 2).sampler is None
         assert not make_ms_nr(8, 2).use_reservation
         assert make_ms_1(8).num_masters == 8
         assert not make_ms_1(8).use_reservation  # no slaves to protect
@@ -282,11 +301,16 @@ class TestSetMasters:
     def test_hetero_reweights_static_dispatch(self):
         from repro.core.policies import HeteroMSPolicy
 
-        speeds = [4.0, 1.0, 1.0, 1.0]
+        speeds = [4.0, 1.0, 2.0, 1.0]
         policy = HeteroMSPolicy(4, 2, cpu_speeds=speeds, seed=1)
-        assert policy._master_weights == pytest.approx([0.8, 0.2])
         policy.set_masters({1, 2})
-        assert policy._master_weights == pytest.approx([0.5, 0.5])
+        view = FakeView(4)
+        counts = np.bincount(
+            [policy.route(make_static(req_id=i), view).node_id
+             for i in range(3000)], minlength=4)
+        # Statics follow the new masters' speeds (1:2), none reach node 0.
+        assert counts[0] == counts[3] == 0
+        assert counts[2] / counts.sum() == pytest.approx(2 / 3, abs=0.03)
 
     def test_routing_uses_new_masters(self):
         policy = make_ms(4, 1, seed=1)

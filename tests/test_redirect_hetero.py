@@ -165,6 +165,12 @@ class TestHeteroMSPolicy:
             def all_alive(self):
                 return True
 
+            def all_healthy(self):
+                return True
+
+            def healthy_array(self):
+                return np.ones(4, dtype=bool)
+
         counts = [0, 0]
         view = View()
         for i in range(2000):

@@ -9,11 +9,20 @@ Regenerate the golden file after an *intentional* scheduling change:
 
 from pathlib import Path
 
-from repro.core.policies import MSPolicy
+import pytest
+
+from repro.core.caching import CachingMSPolicy, CGICache
+from repro.core.policies import (
+    POLICY_NAMES,
+    FrontEndMSPolicy,
+    HeteroMSPolicy,
+    MSPolicy,
+    make_policy,
+)
 from repro.obs import Tracer, load_jsonl, save_jsonl, span_digest
 from repro.sim.config import SimConfig
 from repro.workload.generator import generate_trace
-from repro.workload.replay import replay
+from repro.workload.replay import pretrain_sampler, replay
 from repro.workload.traces import KSU
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.jsonl"
@@ -71,6 +80,81 @@ def test_golden_trace_digest_is_stable():
         raise AssertionError(_diff_message(tracer.spans, golden_spans))
 
 
+#: The golden run at three times the rate (so the reservation gate both
+#: opens and closes) under every member of the policy family, each pinned
+#: by its span digest.  A refactor of the dispatchers must keep every
+#: variant's decisions, and so every span, bit-identical.  Regenerate
+#: with ``--family`` after an *intentional* scheduling change.
+FAMILY = dict(PARAMS, rate=120.0)
+FAMILY_DIGESTS = {
+    "MS":
+        "81d68a440aa03f862875f85371a852153f3b5458f50d67d524b01f9f90149a67",
+    "MS-ns":
+        "33051bc00cd1712f18aa4fcaf8ac5ba63fbaa82fd6c7524b6ebf771793eed5fe",
+    "MS-nr":
+        "88d628b3d2eb1e85b4f41d9f990888e39f3d9dd6c9418b687c0ab931a0f04411",
+    "MS-1":
+        "736e777909d1f9bb5767477b8388b85e2cb13e7ab554d970f683fdac0796015c",
+    "Flat":
+        "6859407816184e6f8dafe5d0dea936cfc957d4bb8b8833c728103a70aa32f7a4",
+    "MSPrime":
+        "25354ec4ae1da8d147dded28127518a69c0739c8e529dae8c32003da7ccf0e35",
+    "RoundRobin":
+        "78fa2f962236fcfd22c19aa0125967c5e87901e3fd1b2ad1675e8f4c37ba0319",
+    "LeastActive":
+        "bf50bc20fdbf46e1b43e9d862738cf299e02ccd6d4d1749c30a1ef84547841ec",
+    "Redirect":
+        "fd3305c0d9e8aa029f9dc74876cc7d149301a96d4c2bc42ef42173673b3d5bdf",
+    "DNS":
+        "78fa2f962236fcfd22c19aa0125967c5e87901e3fd1b2ad1675e8f4c37ba0319",
+    "Hetero":
+        "e1ef7990b3554b7264f551b94c36be4aa14bdc37e1baa7d6a8bad5e17d595691",
+    "FrontEnd":
+        "8acc73c5b0014e71fd39c6165ec6a53309883d4d2b75222c5e886242b373ff31",
+    "Caching":
+        "6a5fde098e3eca1558fec99b68f2d5abf8cc2515dead0c6268c48491cc5bc237",
+}
+
+
+def _family_policy(case: str, sampler):
+    nodes, masters = FAMILY["nodes"], FAMILY["masters"]
+    kwargs = dict(sampler=sampler, seed=FAMILY["policy_seed"])
+    if case == "Hetero":
+        return HeteroMSPolicy(nodes, masters,
+                              cpu_speeds=(1.0, 2.5, 0.5, 1.5),
+                              disk_speeds=(2.0, 1.0, 1.0, 0.5), **kwargs)
+    if case == "FrontEnd":
+        return FrontEndMSPolicy(nodes, masters, accept_node=1, **kwargs)
+    if case == "Caching":
+        return CachingMSPolicy(nodes, masters, CGICache(capacity=16),
+                               **kwargs)
+    return make_policy(case, nodes, masters, **kwargs)
+
+
+def _family_run(case: str) -> Tracer:
+    trace = generate_trace(KSU, rate=FAMILY["rate"],
+                           duration=FAMILY["duration"],
+                           seed=FAMILY["trace_seed"],
+                           cacheable_fraction=0.6 if case == "Caching"
+                           else 0.0,
+                           distinct_queries=20)
+    policy = _family_policy(case, pretrain_sampler(
+        trace, seed=FAMILY["trace_seed"]))
+    tracer = Tracer()
+    replay(SimConfig(num_nodes=FAMILY["nodes"], seed=FAMILY["sim_seed"]),
+           policy, trace, tracer=tracer, audit=True)
+    return tracer
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_DIGESTS))
+def test_policy_family_digest_is_stable(case):
+    assert span_digest(_family_run(case).spans) == FAMILY_DIGESTS[case]
+
+
+def test_family_covers_every_policy_name():
+    assert set(POLICY_NAMES) <= set(FAMILY_DIGESTS)
+
+
 def test_golden_file_replays_through_auditor():
     """The committed stream itself passes the structural audit."""
     from repro.obs import audit_spans
@@ -83,8 +167,13 @@ def test_golden_file_replays_through_auditor():
 if __name__ == "__main__":
     import sys
 
+    if "--family" in sys.argv:
+        for case in FAMILY_DIGESTS:
+            print(f'    "{case}": "{span_digest(_family_run(case).spans)}",')
+        raise SystemExit(0)
     if "--regen" not in sys.argv:
-        raise SystemExit("refusing to regenerate without --regen")
+        raise SystemExit("refusing to regenerate without --regen "
+                         "(or --family to print the family digests)")
     tracer = _golden_run()
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(tracer.spans, GOLDEN,
