@@ -93,6 +93,13 @@ class Policy(abc.ABC):
         # Not the virtual call: subclass extensions need state built later.
         Policy.set_masters(self, master_ids)
         self.rng = np.random.default_rng(seed)
+        #: A route without extras depends only on its node and on whether
+        #: that node accepted the request, so these immutable ``Route``
+        #: objects serve every static and most dynamic requests.
+        self._local_routes = tuple(Route(i, remote=False)
+                                   for i in range(num_nodes))
+        self._remote_routes = tuple(Route(i, remote=True)
+                                    for i in range(num_nodes))
 
     def is_master(self, node_id: int) -> bool:
         return node_id in self.master_ids
@@ -120,6 +127,9 @@ class Policy(abc.ABC):
         self._slaves = np.array(
             sorted(set(range(self.num_nodes)) - ids), dtype=np.intp
         )
+        #: Slaves then masters: the dynamic candidate set of a healthy
+        #: cluster whose reservation gate admits masters.
+        self._by_role = np.concatenate([self._slaves, self._masters])
 
     @abc.abstractmethod
     def route(self, request: Request, view: LoadView) -> Route:
@@ -154,12 +164,15 @@ class Policy(abc.ABC):
     def _random_alive_master(self, view: LoadView) -> int:
         """An in-service accepting master; any alive node acts as master
         when the whole master tier is down (emergency promotion)."""
-        masters = self._alive(view, self._masters)
-        if len(masters) == 0:
-            masters = self._alive(
-                view, np.arange(self.num_nodes, dtype=np.intp))
+        if view.all_healthy():
+            masters = self._masters
+        else:
+            masters = self._alive(view, self._masters)
             if len(masters) == 0:
-                raise RuntimeError("no nodes in service")
+                masters = self._alive(
+                    view, np.arange(self.num_nodes, dtype=np.intp))
+                if len(masters) == 0:
+                    raise RuntimeError("no nodes in service")
         return int(masters[self.rng.integers(len(masters))])
 
     @property
@@ -195,8 +208,7 @@ class FlatPolicy(Policy):
             else self._all
         if len(pool) == 0:
             raise RuntimeError("no nodes in service")
-        node = int(pool[self.rng.integers(len(pool))])
-        return Route(node, remote=False)
+        return self._local_routes[int(pool[self.rng.integers(len(pool))])]
 
 
 class DNSAffinityPolicy(Policy):
@@ -224,13 +236,13 @@ class DNSAffinityPolicy(Policy):
         if client < 0:
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
-            return Route(node, remote=False)
+            return self._local_routes[node]
         node = self._bindings.get(client)
         if node is None:
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
             self._bindings[client] = node
-        return Route(node, remote=False)
+        return self._local_routes[node]
 
     @property
     def distinct_bindings(self) -> int:
@@ -251,7 +263,7 @@ class RoundRobinPolicy(Policy):
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
             if not self.failure_aware or view.is_alive(node):
-                return Route(node, remote=False)
+                return self._local_routes[node]
         raise RuntimeError("no nodes in service")
 
 
@@ -269,8 +281,7 @@ class LeastActivePolicy(Policy):
         counts = {i: view.active_requests(i) for i in pool}
         best = min(counts.values())
         ties = [i for i, c in counts.items() if c == best]
-        node = ties[int(self.rng.integers(len(ties)))]
-        return Route(node, remote=False)
+        return self._local_routes[ties[int(self.rng.integers(len(ties)))]]
 
 
 # -- the master/slave scheduler and its ablations -----------------------------------
@@ -330,22 +341,25 @@ class MSPolicy(Policy):
 
     # -- hooks ---------------------------------------------------------------
 
-    def _accept(self, view: LoadView) -> int:
-        """The node that accepts a request (and executes it if static)."""
-        return self._random_alive_master(view)
+    #: ``_accept(view) -> int``: the node that accepts a request (and
+    #: executes it if static).
+    _accept = Policy._random_alive_master
 
     def _candidates(self, view: LoadView
                     ) -> Tuple[np.ndarray, Optional[bool]]:
         """In-service nodes a dynamic request may run on, and the
         reservation gate verdict (``None`` when the cap does not apply)."""
-        slaves = self._alive(view, self._slaves)
-        masters = self._alive(view, self._masters)
+        healthy = view.all_healthy()
+        slaves = self._slaves if healthy else self._alive(view, self._slaves)
+        masters = (self._masters if healthy
+                   else self._alive(view, self._masters))
         if len(slaves) == 0:
             return masters, None
         gate = (None if self.reservation is None
                 else self.reservation.admit_to_master())
         if gate is None or gate:
-            return np.concatenate([slaves, masters]), gate
+            return (self._by_role if healthy
+                    else np.concatenate([slaves, masters])), gate
         return slaves, gate
 
     def _capacity(self, view: LoadView) -> Tuple[np.ndarray, np.ndarray]:
@@ -359,7 +373,7 @@ class MSPolicy(Policy):
             self.reservation.observe_arrival(request.kind, view.now)
         accept = self._accept(view)
         if request.kind is RequestKind.STATIC:
-            return Route(accept, remote=False)
+            return self._local_routes[accept]
         return self._route_dynamic(request, view, accept)
 
     def _route_dynamic(self, request: Request, view: LoadView,
@@ -393,8 +407,9 @@ class MSPolicy(Policy):
         self._outstanding_disk[node] += 1.0 - w
         self._dispatched_w[request.req_id] = w
         if res is not None:
-            res.record_decision(self.is_master(node))
-        return Route(node, remote=(node != accept))
+            res.record_decision(node in self.master_ids)
+        return (self._local_routes if node == accept
+                else self._remote_routes)[node]
 
     def on_abort(self, request: Request, node_id: int) -> None:
         """Release the request's outstanding-work discount (a completion
@@ -408,12 +423,15 @@ class MSPolicy(Policy):
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
-        self.on_abort(request, node_id)
+        dynamic = request.kind is RequestKind.DYNAMIC
+        if dynamic:
+            # Only :meth:`_route_dynamic` holds work to release.
+            self.on_abort(request, node_id)
         if self.reservation is not None:
             self.reservation.observe_response(request.kind, response_time)
         # Online refinement of the sampler from real executions keeps the
         # offline estimates fresh (harmless if already trained).
-        if self.sampler is not None and request.is_dynamic:
+        if dynamic and self.sampler is not None:
             self.sampler.observe(request.type_key, request.cpu_demand,
                                  request.io_demand)
 

@@ -34,12 +34,20 @@ def rsrc_cost(w: float, cpu_idle, disk_avail, floor: float = IDLE_FLOOR):
     >>> rsrc_cost(1.0, 0.5, 0.01)   # pure-CPU request ignores the disk
     2.0
     """
+    _check_w(w)
+    out = _cost(w, np.asarray(cpu_idle, dtype=float),
+                np.asarray(disk_avail, dtype=float), floor)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_w(w: float) -> None:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1]; got {w}")
-    cpu = np.maximum(np.asarray(cpu_idle, dtype=float), floor)
-    disk = np.maximum(np.asarray(disk_avail, dtype=float), floor)
-    out = w / cpu + (1.0 - w) / disk
-    return float(out) if out.ndim == 0 else out
+
+
+def _cost(w: float, cpu: np.ndarray, disk: np.ndarray, floor: float):
+    """Equation 5 on float arrays, without argument checks."""
+    return w / np.maximum(cpu, floor) + (1.0 - w) / np.maximum(disk, floor)
 
 
 def select_min_rsrc(
@@ -49,29 +57,21 @@ def select_min_rsrc(
     candidates: Sequence[int],
     rng: Optional[np.random.Generator] = None,
     tie_tolerance: float = 1e-9,
-    load_penalty: Optional[np.ndarray] = None,
 ) -> int:
     """Pick the candidate node with the minimum RSRC.
 
-    Near-ties are broken uniformly at random (when ``rng`` is given) so that
-    a fleet of equally idle nodes does not herd onto the lowest index
-    between two load-monitor updates.  ``load_penalty`` (a per-node
-    multiplier >= 1, typically ``1 + outstanding dispatches``) lets the
-    dispatcher fold in work it has sent since the last monitor update.
+    ``cpu_idle`` and ``disk_avail`` are per-node float arrays indexed by
+    the candidate ids.  Near-ties are broken uniformly at random (when
+    ``rng`` is given) so that a fleet of equally idle nodes does not herd
+    onto the lowest index between two load-monitor updates.
     """
+    _check_w(w)
     cand = np.asarray(candidates, dtype=np.intp)
     if cand.size == 0:
         raise ValueError("candidate set is empty")
-    costs = rsrc_cost(w, cpu_idle[cand], disk_avail[cand])
-    costs = np.atleast_1d(costs)
-    if load_penalty is not None:
-        pen = np.asarray(load_penalty, dtype=float)[cand]
-        if (pen < 1.0 - 1e-12).any():
-            raise ValueError("load_penalty multipliers must be >= 1")
-        costs = costs * pen
-    best = costs.min()
+    costs = _cost(w, cpu_idle[cand], disk_avail[cand], IDLE_FLOOR)
     if rng is None:
         return int(cand[int(np.argmin(costs))])
-    ties = np.flatnonzero(costs <= best + tie_tolerance)
+    ties = (costs <= np.minimum.reduce(costs) + tie_tolerance).nonzero()[0]
     pick = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
     return int(cand[pick])

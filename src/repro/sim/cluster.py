@@ -105,7 +105,9 @@ class ClusterView:
 
     def all_healthy(self) -> bool:
         """O(1) fast path: every node is in service and trusted."""
-        return self.all_alive() and not self._cluster.monitor.any_suspect
+        cluster = self._cluster
+        return (cluster.alive_count == cluster.cfg.num_nodes
+                and not cluster.monitor.any_suspect)
 
     def healthy_array(self) -> np.ndarray:
         """In-service AND not-suspect membership (fresh array)."""
@@ -231,25 +233,24 @@ class Cluster:
                 mgr.handle_failure(request, "no_capacity")
                 return
             raise
-        if not 0 <= route.node_id < self.cfg.num_nodes:
+        node_id = route.node_id
+        if not 0 <= node_id < self.cfg.num_nodes:
             raise ValueError(
                 f"policy routed request {request.req_id} to invalid node "
-                f"{route.node_id}"
+                f"{node_id}"
             )
         if tr is not None:
             ld = self.policy.last_decision
-            tr.record(DISPATCH, request.req_id, route.node_id,
-                      (route.remote, self.policy.is_master(route.node_id))
+            tr.record(DISPATCH, request.req_id, node_id,
+                      (route.remote, self.policy.is_master(node_id))
                       + (ld if ld is not None
                          else (None, None, None, None, None)))
-        if (not self.alive[route.node_id]
-                or self.nodes[route.node_id].failed):
+        if self._down(node_id):
             # A failure-unaware front end (DNS rotation with cached IPs) or
             # an undetected crash: the client's connection attempt fails.
             self.denied_attempts += 1
             if tr is not None:
-                tr.record(DENY, request.req_id, route.node_id,
-                          ("dead_node",))
+                tr.record(DENY, request.req_id, node_id, ("dead_node",))
             if mgr is not None:
                 mgr.handle_failure(request, "dead_node")
             else:
@@ -267,10 +268,11 @@ class Cluster:
             self._admit(request, route, 0.0)
 
     def _admit(self, request: Request, route: Route, latency: float) -> None:
-        if not self.alive[route.node_id] or self.nodes[route.node_id].failed:
+        node_id = route.node_id
+        if self._down(node_id):
             # The node died during the dispatch hop; re-route.
             if self.tracer is not None:
-                self.tracer.record(DENY, request.req_id, route.node_id,
+                self.tracer.record(DENY, request.req_id, node_id,
                                    ("dead_node",))
             if self.resilience is not None:
                 self.resilience.handle_failure(request, "dead_node")
@@ -281,11 +283,18 @@ class Cluster:
         executed = route.substitute if route.substitute is not None \
             else request
         self._routes[executed.req_id] = route
-        self.nodes[route.node_id].admit(executed, dispatch_latency=latency)
+        self.nodes[node_id].admit(executed, latency)
         if self.resilience is not None:
             self.resilience.on_admitted(request)
 
     # -- membership -----------------------------------------------------------
+
+    def _down(self, node_id: int) -> bool:
+        """Out of membership, or crashed and not yet detected.  The O(1)
+        all-alive count skips the membership array lookup."""
+        return ((self.alive_count != self.cfg.num_nodes
+                 and not self.alive[node_id])
+                or self.nodes[node_id].failed)
 
     def _mark_down(self, node_id: int) -> None:
         if self.alive[node_id]:
@@ -453,8 +462,8 @@ class Cluster:
         Parameters
         ----------
         requests:
-            The trace (arrival times must be non-decreasing is *not*
-            required; the event heap orders them).
+            The trace, in any order: the engine's event queue orders the
+            arrivals by time.
         drain:
             Extra virtual time allowed after the last arrival for queued
             work to finish.

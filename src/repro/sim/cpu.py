@@ -34,6 +34,9 @@ from repro.sim.process import ProcState, SimProcess
 
 _EPS = 1e-12
 
+READY = ProcState.READY
+RUNNING = ProcState.RUNNING
+
 
 class CPU:
     """Preemptive multilevel-feedback-queue CPU for one node.
@@ -52,8 +55,8 @@ class CPU:
     __slots__ = (
         "engine", "cfg", "on_burst_done", "queues", "current",
         "_last_proc", "busy_time", "_slice_start", "_slice_overhead",
-        "_slice_len", "_dispatching", "switches", "preemptions",
-        "_occupied", "_slice_cb", "_tracer",
+        "_slice_len", "switches", "preemptions", "_occupied", "_slice_cb",
+        "_tracer",
     )
 
     def __init__(self, engine: Engine, cfg: CPUConfig,
@@ -68,7 +71,6 @@ class CPU:
         self._slice_start = 0.0
         self._slice_overhead = 0.0
         self._slice_len = 0.0
-        self._dispatching = False
         self.switches = 0
         self.preemptions = 0
         # Bitmask of non-empty run-queue levels: bit i set <=> queues[i]
@@ -84,35 +86,35 @@ class CPU:
     # -- priority bookkeeping ------------------------------------------------
 
     def _decay_usage(self, proc: SimProcess, now: float) -> None:
+        """Apply the whole decay periods elapsed since the process's usage
+        stamp; callers only call once at least one period has passed."""
         period = self.cfg.priority_update_period
         elapsed = now - proc.usage_stamp
-        if elapsed < period:
-            return
         periods = int(elapsed / period)
         proc.cpu_usage *= self.cfg.usage_decay ** periods
         proc.usage_stamp += periods * period
 
     def _level(self, proc: SimProcess, now: float) -> int:
-        self._decay_usage(proc, now)
-        level = int(proc.cpu_usage / self.cfg.usage_per_level)
-        top = self.cfg.num_queues - 1
+        cfg = self.cfg
+        if now - proc.usage_stamp >= cfg.priority_update_period:
+            self._decay_usage(proc, now)
+        level = int(proc.cpu_usage / cfg.usage_per_level)
+        top = cfg.num_queues - 1
         return top if level > top else level
 
     # -- public interface ----------------------------------------------------
 
     def make_runnable(self, proc: SimProcess) -> None:
         """Add a process to the run queue; may preempt the running one."""
-        now = self.engine.now
-        level = self._level(proc, now)
+        level = self._level(proc, self.engine.now)
         proc.priority = level
-        proc.state = ProcState.READY
+        proc.state = READY
         self.queues[level].append(proc)
         self._occupied |= 1 << level
-
-        if self.current is None:
-            if not self._dispatching:
-                self._dispatch()
-        elif level < self.current.priority:
+        current = self.current
+        if current is None:
+            self._dispatch()
+        elif level < current.priority:
             self._preempt()
 
     @property
@@ -151,8 +153,7 @@ class CPU:
                 self._tracer.record(CPU_OFF, proc.request.req_id,
                                     proc.node_id)
             self.current = None
-            if not self._dispatching:
-                self._dispatch()
+            self._dispatch()
             return True
         for level, queue in enumerate(self.queues):
             try:
@@ -165,6 +166,11 @@ class CPU:
         return False
 
     # -- internals -----------------------------------------------------------
+    #
+    # A slice end or preemption empties ``current`` before the burst-done
+    # callback runs, so a process that callback makes runnable here is
+    # dispatched at once; the caller then only dispatches if the CPU is
+    # still idle with work queued.
 
     def _preempt(self) -> None:
         """Stop the current slice early and put the process back to READY."""
@@ -181,62 +187,62 @@ class CPU:
         self._account(proc, now - self._slice_start, work_done)
         self.preemptions += 1
         self.current = None
-        proc.state = ProcState.READY
+        proc.state = READY
         if proc.burst_remaining <= _EPS:
             # The burst happened to finish exactly at the preemption point.
-            self._finish_burst(proc)
+            proc.burst_remaining = 0.0
+            self.on_burst_done(proc)
         else:
             level = self._level(proc, now)
             proc.priority = level
             self.queues[level].append(proc)
             self._occupied |= 1 << level
-        if self.current is None and not self._dispatching:
+        if self.current is None and self._occupied:
             self._dispatch()
 
     def _account(self, proc: SimProcess, wall: float, work: float) -> None:
         """Charge a (partial) slice against the process and the CPU."""
         self.busy_time += wall
         proc.cpu_time_used += work
-        self._decay_usage(proc, self.engine.now)
+        now = self.engine.now
+        if now - proc.usage_stamp >= self.cfg.priority_update_period:
+            self._decay_usage(proc, now)
         proc.cpu_usage += work
         proc.burst_remaining -= work
         self._last_proc = proc
 
     def _dispatch(self) -> None:
         """Put the best-priority ready process on the CPU."""
-        self._dispatching = True
-        try:
-            occupied = self._occupied
-            if not occupied:
-                return
-            level = (occupied & -occupied).bit_length() - 1
-            queue = self.queues[level]
-            proc = queue.popleft()
-            proc.priority = level
-            if not queue:
-                self._occupied = occupied & ~(1 << level)
-            now = self.engine.now
-            overhead = (
-                self.cfg.context_switch_overhead
-                if proc is not self._last_proc
-                else 0.0
-            )
-            if overhead:
-                self.switches += 1
-            slice_len = min(self.cfg.quantum, proc.burst_remaining)
-            self.current = proc
-            proc.state = ProcState.RUNNING
-            self._slice_start = now
-            self._slice_overhead = overhead
-            self._slice_len = slice_len
-            proc.slice_event = self.engine.schedule(
-                overhead + slice_len, self._slice_cb, proc
-            )
-            if self._tracer is not None:
-                self._tracer.record(CPU_ON, proc.request.req_id,
-                                    proc.node_id)
-        finally:
-            self._dispatching = False
+        occupied = self._occupied
+        if not occupied:
+            return
+        level = (occupied & -occupied).bit_length() - 1
+        queue = self.queues[level]
+        proc = queue.popleft()
+        proc.priority = level
+        if not queue:
+            self._occupied = occupied & ~(1 << level)
+        cfg = self.cfg
+        overhead = (
+            cfg.context_switch_overhead
+            if proc is not self._last_proc
+            else 0.0
+        )
+        if overhead:
+            self.switches += 1
+        burst = proc.burst_remaining
+        slice_len = burst if burst < cfg.quantum else cfg.quantum
+        self.current = proc
+        proc.state = RUNNING
+        now = self.engine.now
+        self._slice_start = now
+        self._slice_overhead = overhead
+        self._slice_len = slice_len
+        proc.slice_event = self.engine.schedule_at(
+            now + (overhead + slice_len), self._slice_cb, proc
+        )
+        if self._tracer is not None:
+            self._tracer.record(CPU_ON, proc.request.req_id, proc.node_id)
 
     def _on_slice_end(self, proc: SimProcess) -> None:
         assert proc is self.current
@@ -246,18 +252,14 @@ class CPU:
         self._account(proc, self._slice_overhead + self._slice_len, self._slice_len)
         self.current = None
         if proc.burst_remaining <= _EPS:
-            self._finish_burst(proc)
+            proc.burst_remaining = 0.0
+            self.on_burst_done(proc)
         else:
             # Quantum expiry: requeue at the (now worse) level.
-            now = self.engine.now
-            level = self._level(proc, now)
+            level = self._level(proc, self.engine.now)
             proc.priority = level
-            proc.state = ProcState.READY
+            proc.state = READY
             self.queues[level].append(proc)
             self._occupied |= 1 << level
-        if self.current is None and not self._dispatching:
+        if self.current is None and self._occupied:
             self._dispatch()
-
-    def _finish_burst(self, proc: SimProcess) -> None:
-        proc.burst_remaining = 0.0
-        self.on_burst_done(proc)

@@ -16,15 +16,16 @@ dominating costs — per-event object allocation, ``heappush``/``heappop``
 on heaps holding an entire trace's arrivals, and cyclic-GC scans
 triggered by event garbage.  The kernel now addresses all three:
 
-* **Two-tier queue (sorted run + insertion buffer).**  Pending events
-  live in ``_sorted``, a descending-sorted list whose next event is at
-  the *end* (``list.pop()`` is O(1) and releases memory incrementally).
-  Newly scheduled events are appended to an unsorted ``_buffer`` and
-  only folded in when one of them is actually due; the fold cuts the
-  sorted run at the buffer's maximum time with one ``bisect`` and
-  timsort-merges just the tail, so far-future arrivals are never
-  re-scanned.  Submitting a whole trace via :meth:`call_at_many` is a
-  single C-level ``extend``.
+* **Two queues: a sorted run and a heap.**  A trace submitted in bulk
+  via :meth:`call_at_many` lands in ``_sorted``, a descending-sorted
+  list whose next entry is at the *end* (``list.pop()`` is O(1) and
+  releases memory incrementally); the batch costs one C-level
+  ``extend`` and one sort.  Everything scheduled one at a time during
+  the run (CPU and disk slices, dispatch hops, monitor ticks) goes into
+  ``_heap``, a binary heap that only ever holds the few in-flight events
+  of a cluster, so its sifts are short.  The loop pops whichever head is
+  earlier; both hold ``(time, seq, ...)`` tuples, so one tuple compare
+  keeps the global ``(time, seq)`` order.
 * **Handle-free fast path.**  Most events are fire-and-forget (request
   arrivals, dispatch hops, worker-slot releases, monitor ticks) and
   never need cancellation.  :meth:`call_later` / :meth:`call_at` store a
@@ -49,10 +50,8 @@ from __future__ import annotations
 
 import gc
 import itertools
-from bisect import bisect_left
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
-
-_INF = float("inf")
 
 #: Upper bound on pooled Event objects kept for reuse (a 128-node cluster
 #: has at most a few hundred cancellable events in flight).
@@ -96,11 +95,6 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} {state} fn={self.fn!r}>"
 
 
-def _neg_time(entry: tuple) -> float:
-    """bisect key: ``_sorted`` is descending, bisect wants ascending."""
-    return -entry[0]
-
-
 class Engine:
     """Virtual-time event loop.
 
@@ -118,7 +112,7 @@ class Engine:
     1.5
     """
 
-    __slots__ = ("now", "_sorted", "_buffer", "_bnext", "_seq", "_running",
+    __slots__ = ("now", "_sorted", "_heap", "_seq", "_running",
                  "_processed", "_free", "tracer")
 
     def __init__(self) -> None:
@@ -127,13 +121,11 @@ class Engine:
         #: emits one ``run`` meta span per :meth:`run` call — per-event
         #: tracing lives in the components, keeping the hot loop untouched.
         self.tracer = None
-        #: Descending (time, seq, ...) entries; the next due event is LAST.
+        #: Bulk-submitted (time, seq, fn, args) entries, descending: the
+        #: next due one is LAST.
         self._sorted: list = []
-        #: Unsorted newly scheduled entries, folded in lazily by `_merge`.
-        self._buffer: list = []
-        #: Earliest time in `_buffer` (+inf when empty).  Exact, never stale:
-        #: every append updates it and `_merge` resets it.
-        self._bnext: float = _INF
+        #: Binary heap of the entries scheduled one at a time.
+        self._heap: list = []
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -170,9 +162,7 @@ class Engine:
             ev.cancelled = False
         else:
             ev = Event(time, seq, fn, args)
-        self._buffer.append((time, seq, ev))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -181,10 +171,7 @@ class Engine:
         cancelled — the hot request path."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        self._buffer.append((time, next(self._seq), fn, args))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at` (no Event handle)."""
@@ -192,9 +179,7 @@ class Engine:
             raise ValueError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
-        self._buffer.append((time, next(self._seq), fn, args))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (time, next(self._seq), fn, args))
 
     def call_at_many(
         self, items: Iterable[Tuple[float, Callable[..., Any], tuple]]
@@ -203,51 +188,26 @@ class Engine:
 
         ``items`` yields ``(time, fn, args)`` triples (``args`` a tuple).
         This is how a whole trace's arrivals are submitted: O(n) appends
-        plus a single deferred sort, instead of n heap pushes.  Returns the
-        number of events scheduled.
+        plus one sort of the sorted run (near linear: timsort merges the
+        old run with the new, mostly ordered batch), instead of n heap
+        pushes.  Returns the number of events scheduled.
         """
-        buf = self._buffer
+        s = self._sorted
         seq = self._seq
-        n = len(buf)
-        buf.extend((t, next(seq), fn, args) for t, fn, args in items)
-        added = len(buf) - n
+        n = len(s)
+        s.extend((t, next(seq), fn, args) for t, fn, args in items)
+        added = len(s) - n
         if added:
-            t_min = min(buf[i][0] for i in range(n, len(buf)))
+            t_min = min(s[i][0] for i in range(n, len(s)))
             if t_min < self.now:
-                del buf[n:]
+                del s[n:]
                 raise ValueError(
                     f"cannot schedule into the past (t={t_min} < now={self.now})"
                 )
-            if t_min < self._bnext:
-                self._bnext = t_min
+            s.sort(reverse=True)
         return added
 
     # -- queue maintenance --------------------------------------------------
-
-    def _merge(self) -> None:
-        """Fold the insertion buffer into the sorted run.
-
-        Cuts the descending run at the buffer's maximum time, so only the
-        tail that can interleave with the new entries is re-sorted; the
-        far-future prefix (typically a trace's remaining arrivals) is left
-        untouched.  Timsort merges the two mostly-sorted runs in near
-        linear time.
-        """
-        s = self._sorted
-        buf = self._buffer
-        if s:
-            bmax = max(entry[0] for entry in buf)
-            cut = bisect_left(s, -bmax, key=_neg_time)
-            tail = s[cut:]
-            del s[cut:]
-            tail.extend(buf)
-            tail.sort(reverse=True)
-            s.extend(tail)
-        else:
-            s.extend(buf)
-            s.sort(reverse=True)
-        buf.clear()
-        self._bnext = _INF
 
     def _recycle(self, ev: Event) -> None:
         ev.fn = None  # type: ignore[assignment]
@@ -281,6 +241,7 @@ class Engine:
         self._running = True
         processed = 0
         s = self._sorted
+        heap = self._heap
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -288,16 +249,12 @@ class Engine:
             if until is None and max_events is None:
                 # Tight loop for the common run-to-exhaustion case.
                 while True:
-                    if s:
-                        if self._bnext < s[-1][0]:
-                            self._merge()
-                            continue
-                    elif self._buffer:
-                        self._merge()
-                        continue
+                    if heap and not (s and s[-1] < heap[0]):
+                        entry = heappop(heap)
+                    elif s:
+                        entry = s.pop()
                     else:
                         break
-                    entry = s.pop()
                     if len(entry) == 4:
                         self.now = entry[0]
                         entry[2](*entry[3])
@@ -315,19 +272,16 @@ class Engine:
                         processed += 1
             else:
                 while True:
-                    if s:
+                    from_heap = bool(heap) and not (s and s[-1] < heap[0])
+                    if from_heap:
+                        time = heap[0][0]
+                    elif s:
                         time = s[-1][0]
-                        if self._bnext < time:
-                            self._merge()
-                            continue
-                    elif self._buffer:
-                        self._merge()
-                        continue
                     else:
                         break
                     if until is not None and time > until:
                         break
-                    entry = s.pop()
+                    entry = heappop(heap) if from_heap else s.pop()
                     if len(entry) == 4:
                         self.now = time
                         entry[2](*entry[3])
@@ -357,18 +311,20 @@ class Engine:
             self.tracer.record_meta("run", processed)
         return processed
 
+    def _pop(self) -> Optional[tuple]:
+        """Remove and return the earliest queued entry (``None`` if empty)."""
+        s = self._sorted
+        heap = self._heap
+        if heap and not (s and s[-1] < heap[0]):
+            return heappop(heap)
+        return s.pop() if s else None
+
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` if none remained."""
-        s = self._sorted
         while True:
-            if s:
-                if self._bnext < s[-1][0]:
-                    self._merge()
-            elif self._buffer:
-                self._merge()
-            else:
+            entry = self._pop()
+            if entry is None:
                 return False
-            entry = s.pop()
             if len(entry) == 4:
                 self.now = entry[0]
                 entry[2](*entry[3])
@@ -390,17 +346,13 @@ class Engine:
 
     def peek(self) -> Optional[float]:
         """Virtual time of the next pending event, or ``None``."""
-        if self._buffer:
-            self._merge()
         s = self._sorted
-        while s:
-            entry = s[-1]
-            if len(entry) == 3 and entry[2].cancelled:
-                s.pop()
-                self._recycle(entry[2])
-                continue
-            return entry[0]
-        return None
+        heap = self._heap
+        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
+            self._recycle(heappop(heap)[2])
+        if heap and not (s and s[-1] < heap[0]):
+            return heap[0][0]
+        return s[-1][0] if s else None
 
     def iter_pending(self) -> Iterator[Tuple[float, Callable[..., Any]]]:
         """Yield ``(time, fn)`` for every not-yet-cancelled queued event.
@@ -409,11 +361,8 @@ class Engine:
         conservation) without reaching into the queue internals.
         """
         for entry in self._sorted:
-            if len(entry) == 4:
-                yield entry[0], entry[2]
-            elif not entry[2].cancelled:
-                yield entry[0], entry[2].fn
-        for entry in self._buffer:
+            yield entry[0], entry[2]
+        for entry in self._heap:
             if len(entry) == 4:
                 yield entry[0], entry[2]
             elif not entry[2].cancelled:

@@ -66,10 +66,13 @@ class MemoryManager:
         self.free_pages -= granted
         proc.resident_pages = granted
         self.resident[proc] = granted
-        total_resident = self.cfg.total_pages - self.cfg.reserved_pages - self.free_pages
+        cfg = self.cfg
+        total_resident = cfg.total_pages - cfg.reserved_pages - self.free_pages
         if total_resident > self.peak_resident:
             self.peak_resident = total_resident
-        cold = int(round(granted * self.cfg.coldstart_fraction))
+        if not cfg.coldstart_fraction:
+            return 0
+        cold = int(round(granted * cfg.coldstart_fraction))
         self.faults += cold
         return cold
 
@@ -120,8 +123,9 @@ class MemoryManager:
         claims is a page the file cache loses, which is the paper's
         Section-2 argument for separating static from dynamic processing.
         """
-        base = self.cfg.static_miss_base
-        span = self.cfg.static_miss_max - base
+        cfg = self.cfg
+        base = cfg.static_miss_base
+        span = cfg.static_miss_max - base
         return base + span * self.pressure
 
     # -- introspection ------------------------------------------------------------
@@ -134,4 +138,6 @@ class MemoryManager:
     def pressure(self) -> float:
         """Fraction of allocatable memory currently in use, in [0, 1]."""
         allocatable = self.cfg.total_pages - self.cfg.reserved_pages
-        return self.used_pages / allocatable if allocatable else 1.0
+        # Inlines ``used_pages``: every static request reads this.
+        return ((allocatable - self.free_pages) / allocatable
+                if allocatable else 1.0)

@@ -27,7 +27,10 @@ from repro.sim.process import (
     SimProcess,
     build_plan,
 )
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestKind
+
+DONE = ProcState.DONE
+DYNAMIC = RequestKind.DYNAMIC
 
 
 class Node:
@@ -61,8 +64,8 @@ class Node:
         self.node_id = node_id
         self.rng = rng
         self.on_complete = on_complete
-        self.cpu = CPU(engine, cfg.cpu, self._on_cpu_burst_done)
-        self.disk = Disk(engine, cfg.disk, self._on_io_burst_done)
+        self.cpu = CPU(engine, cfg.cpu, self._advance)
+        self.disk = Disk(engine, cfg.disk, self._advance)
         self.memory = MemoryManager(cfg.memory, rng)
         self.active = 0
         self.admitted = 0
@@ -103,8 +106,8 @@ class Node:
         if self.failed:
             raise RuntimeError(f"node {self.node_id} is down")
         self.admitted += 1
-        conn = self.cfg.connections
-        backlogged = conn.limited and self.busy_slots >= conn.max_processes
+        # ``connections.limited`` inlined: a pool of 0 is unlimited.
+        backlogged = 0 < self.cfg.connections.max_processes <= self.busy_slots
         tr = self._tracer
         if tr is not None:
             tr.record(ADMIT, request.req_id, self.node_id, (backlogged,))
@@ -115,16 +118,16 @@ class Node:
 
     def _start(self, request: Request,
                dispatch_latency: float) -> SimProcess:
-        plan = self._build_plan(request)
-        proc = SimProcess(request, self.node_id, plan,
-                          admit_time=self.engine.now,
-                          dispatch_latency=dispatch_latency)
+        dynamic = request.kind is DYNAMIC
+        plan = self._build_plan(request, dynamic)
+        proc = SimProcess(request, self.node_id, plan, self.engine.now,
+                          dispatch_latency)
         cold = self.memory.admit(proc)
         if cold:
             fault_io = cold * self.cfg.disk.page_time / self.disk_speed
             # Cold-start faults hit before the script's own work: insert
             # after the fork burst (index 0) for CGI, at the front otherwise.
-            insert_at = 1 if request.is_dynamic and plan[0][0] == CPU_BURST else 0
+            insert_at = 1 if dynamic and plan[0][0] == CPU_BURST else 0
             plan.insert(insert_at, (IO_BURST, fault_io))
             proc.burst_remaining = plan[0][1]
         tr = self._tracer
@@ -133,13 +136,18 @@ class Node:
         self.active += 1
         self.busy_slots += 1
         self.procs.add(proc)
-        self._route(proc)
+        # A plan is never empty: its first burst goes to CPU or disk.
+        if plan[0][0] == CPU_BURST:
+            self.cpu.make_runnable(proc)
+        else:
+            self.disk.submit(proc)
         return proc
 
-    def _build_plan(self, request: Request) -> List[Tuple[int, float]]:
+    def _build_plan(self, request: Request,
+                    dynamic: bool) -> List[Tuple[int, float]]:
         io_chunk = self.cfg.disk.slice_time * 2.0
         io_demand = request.io_demand
-        if not request.is_dynamic and self.cfg.memory.enable_paging:
+        if not dynamic and self.cfg.memory.enable_paging:
             # Static requests are CPU-only unless the file cache misses, in
             # which case the file must be read from disk.  Misses get more
             # likely as CGI working sets squeeze the cache.
@@ -154,27 +162,18 @@ class Node:
         cpu_demand = request.cpu_demand / self.cpu_speed
         io_demand /= self.disk_speed
         plan = build_plan(cpu_demand, io_demand, io_chunk, self.rng)
-        if request.is_dynamic and self.cfg.cpu.fork_overhead > 0:
+        if dynamic and self.cfg.cpu.fork_overhead > 0:
             plan.insert(0, (CPU_BURST,
                             self.cfg.cpu.fork_overhead / self.cpu_speed))
         return plan
 
     # -- burst plumbing ---------------------------------------------------------
 
-    def _route(self, proc: SimProcess) -> None:
-        kind = proc.current_kind
-        if kind is None:
-            self._complete(proc)
-        elif kind == CPU_BURST:
-            self.cpu.make_runnable(proc)
-        else:
-            self.disk.submit(proc)
-
     def _advance(self, proc: SimProcess) -> None:
-        refault_pages = self.memory.collect_refaults(proc)
-        if refault_pages:
-            proc.splice_io(refault_pages * self.cfg.disk.page_time
-                           / self.disk_speed)
+        """A CPU or I/O burst finished: run the process's next burst."""
+        if proc.pending_fault_pages:
+            proc.splice_io(self.memory.collect_refaults(proc)
+                           * self.cfg.disk.page_time / self.disk_speed)
         kind = proc.advance()
         if kind is None:
             self._complete(proc)
@@ -183,14 +182,8 @@ class Node:
         else:
             self.disk.submit(proc)
 
-    def _on_cpu_burst_done(self, proc: SimProcess) -> None:
-        self._advance(proc)
-
-    def _on_io_burst_done(self, proc: SimProcess) -> None:
-        self._advance(proc)
-
     def _complete(self, proc: SimProcess) -> None:
-        proc.state = ProcState.DONE
+        proc.state = DONE
         proc.finish_time = self.engine.now
         self.memory.release(proc)
         self.active -= 1
@@ -199,8 +192,9 @@ class Node:
         self.on_complete(self, proc)
         # The worker stays pinned until the response drains to the client;
         # server-site response time (above) excludes this, capacity doesn't.
-        transfer = self.cfg.connections.transfer_time(
-            proc.request.size_bytes)
+        conn = self.cfg.connections
+        transfer = (conn.transfer_time(proc.request.size_bytes)
+                    if conn.client_bandwidth > 0 else 0.0)
         if transfer > 0.0:
             self.transfers += 1
             self.engine.call_later(transfer, self._release_cb)

@@ -68,7 +68,7 @@ def build_plan(
     cpu_each = max(cpu_total, MIN_CPU_SLIVER) / (n_io + 1)
     if rng is not None and n_io > 1:
         # Jitter interior boundaries while preserving the totals.
-        deltas = rng.uniform(-0.3, 0.3, size=n_io - 1)
+        deltas = rng.uniform(-0.3, 0.3, size=n_io - 1).tolist()
         for i, d in enumerate(deltas):
             shift = io_sizes[i] * d
             io_sizes[i] -= shift

@@ -1,12 +1,13 @@
-"""Property-based check of the engine's two-tier ladder queue.
+"""Property-based check of the engine's two-queue design.
 
-The engine replaced a textbook binary heap with a sorted-run + insertion
--buffer ladder, a handle-free tuple fast path, and Event pooling.  These
-tests pit it against an obviously-correct ``heapq`` reference model: both
-sides replay the same randomly generated program of ``call_at`` /
-``call_at_many`` / ``schedule_at`` calls — including callbacks that
-schedule more work and cancel pending handles mid-run — and must fire
-callbacks in exactly the same order, FIFO within equal timestamps.
+The engine keeps bulk-submitted entries in a sorted run and everything
+else in a heap, with a handle-free tuple fast path and Event pooling.
+These tests pit it against an obviously-correct single-``heapq``
+reference model: both sides replay the same randomly generated program
+of ``call_at`` / ``call_at_many`` / ``schedule_at`` calls — including
+callbacks that schedule more work and cancel pending handles mid-run —
+and must fire callbacks in exactly the same order, FIFO within equal
+timestamps.
 
 Times are drawn from a coarse 0.25s grid so timestamp ties (the
 tie-break path) occur constantly.

@@ -319,3 +319,68 @@ class TestSetMasters:
         for i in range(10):
             route = policy.route(make_static(req_id=i), view)
             assert route.node_id == 3
+
+
+class SuspiciousView(FakeView):
+    """Reports a possibly unhealthy cluster (so policies take the general
+    ``_alive`` filtering path) while every node is in fact healthy."""
+
+    def all_healthy(self):
+        return False
+
+
+class TestStaticFastPath:
+    """The healthy shortcut in ``_random_alive_master`` and the cached
+    static ``Route`` objects must not change any routing decision."""
+
+    def test_fast_path_draws_like_general_path(self):
+        fast, general = make_ms(8, 3, seed=5), make_ms(8, 3, seed=5)
+        healthy, suspicious = FakeView(8), SuspiciousView(8)
+        got = [fast.route(make_static(req_id=i), healthy).node_id
+               for i in range(500)]
+        want = [general.route(make_static(req_id=i), suspicious).node_id
+                for i in range(500)]
+        assert got == want
+        assert set(got) == {0, 1, 2}
+
+    def test_dynamic_candidates_match_general_path(self):
+        fast, general = make_ms(8, 3, seed=5), make_ms(8, 3, seed=5)
+        rng = np.random.default_rng(0)
+        cpu, disk = rng.uniform(0.1, 1.0, 8), rng.uniform(0.1, 1.0, 8)
+        healthy = FakeView(8, cpu_idle=cpu, disk_avail=disk)
+        suspicious = SuspiciousView(8, cpu_idle=cpu, disk_avail=disk)
+        for i in range(200):
+            request = make_cgi(req_id=i) if i % 3 else make_static(req_id=i)
+            a, b = fast.route(request, healthy), general.route(request,
+                                                               suspicious)
+            assert (a.node_id, a.remote) == (b.node_id, b.remote)
+
+    @pytest.mark.parametrize("view_cls", [FakeView, SuspiciousView])
+    def test_only_new_masters_drawn_after_set_masters(self, view_cls):
+        policy = make_ms(8, 2, seed=1)
+        view = view_cls(8)
+        policy.set_masters({0, 5, 6})           # promote 5, 6
+        drawn = {policy.route(make_static(req_id=i), view).node_id
+                 for i in range(300)}
+        assert drawn == {0, 5, 6}
+        policy.set_masters({6})                 # demote 0 and 5
+        drawn = {policy.route(make_static(req_id=i), view).node_id
+                 for i in range(100)}
+        assert drawn == {6}
+
+    def test_cached_static_routes_carry_their_node(self):
+        policy = make_ms(8, 3, seed=2)
+        view = FakeView(8)
+        seen = {}
+        for i in range(300):
+            route = policy.route(make_static(req_id=i), view)
+            assert not route.remote
+            assert route.extra_latency == 0.0 and route.substitute is None
+            seen.setdefault(route.node_id, route)
+            # One shared immutable object per node.
+            assert seen[route.node_id] is route
+        assert sorted(seen) == [0, 1, 2]
+        for node_id, route in enumerate(policy._local_routes):
+            assert route.node_id == node_id and not route.remote
+        for node_id, route in enumerate(policy._remote_routes):
+            assert route.node_id == node_id and route.remote
