@@ -7,9 +7,10 @@ regression in either substrate — or a drift between them — shows up in
 the same place as a wall-time regression.
 
 Tolerance is deliberately generous (``repro.live.validate.TOLERANCE``,
-currently 4x either way): the CI host has one CPU core, so concurrent
-live CPU burns contend through the GIL while the simulator gives every
-node its own processor, and live requests pay real loopback/HTTP
+currently 4x either way): the CI host has one CPU core, and each live
+node burns CPU demand on its event loop in 1 ms slices, so concurrent
+requests take turns on one thread while the simulator gives every node
+its own processor; and live requests pay real loopback/HTTP
 overhead the model folds into a fixed network latency.  The assertion is
 "same regime", not "same number" — plus separate checks that the live
 run actually exercised the paper's machinery (remote dispatch happened,

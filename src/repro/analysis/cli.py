@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boot a live loopback master/slave cluster")
     p.add_argument("--slaves", type=int, default=2)
     p.add_argument("--workers", type=int, default=2,
-                   help="worker threads per node")
+                   help="pool slots per node (multiprogramming level)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_serve)
 

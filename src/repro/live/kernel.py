@@ -4,10 +4,12 @@ The paper replaces logged CGI bodies with synthetic scripts whose cost is
 controlled (WebSTONE busy-spin, WebGlimpse search, ADL catalog lookups).
 The live cluster does the same: a dynamic request arrives carrying its
 demand split ``(cpu_seconds, io_seconds)`` drawn from
-:mod:`repro.workload.cgi_profiles`, and the kernel *realises* that demand —
-CPU demand as an actual arithmetic spin on the worker thread, disk demand
-as a blocking sleep (the request holds its worker but burns no cycles,
-like a thread parked in ``read(2)``).
+:mod:`repro.workload.cgi_profiles`, and the kernel *realises* that demand
+in two halves.  :func:`burn_cpu` is an actual arithmetic spin on the
+calling thread; :func:`wait_disk` is a blocking sleep (the request holds
+its slot but burns no cycles, like a thread parked in ``read(2)``).
+:class:`repro.live.node.WorkerPool` runs the burn on the node's event-loop
+thread in short slices and parks only the disk wait on a worker thread.
 
 Calibration
 -----------
@@ -18,7 +20,7 @@ chunks sized from that rate, re-checking ``perf_counter`` between chunks
 so it lands within a chunk of the target regardless of drift.
 
 :class:`BusyMeter` is the live counterpart of the simulator's per-device
-busy-time counters: workers report completed CPU/disk seconds, and the
+busy-time counters: the pool reports completed CPU/disk seconds, and the
 load daemon differentiates the totals into windowed utilisations exactly
 like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``.
 """
@@ -88,55 +90,49 @@ def burn_cpu(seconds: float) -> float:
 
     Spins in calibrated chunks, re-checking the clock between chunks, so
     the overshoot is bounded by one chunk (~50 microseconds) plus
-    scheduler noise.
+    scheduler noise.  A positive ``seconds`` always returns at least
+    ``seconds``: the loop compares the elapsed time itself, not the clock
+    against ``t0 + seconds``, which rounds to the clock's precision and
+    would let a demand below it burn nothing.
     """
     if seconds <= 0:
         return 0.0
     rate = calibrate()
     chunk = max(64, int(rate * _CHUNK_SECONDS))
     t0 = time.perf_counter()
-    deadline = t0 + seconds
-    now = t0
-    while now < deadline:
-        remaining = deadline - now
-        _spin(min(chunk, max(64, int(rate * remaining))))
-        now = time.perf_counter()
-    return now - t0
+    elapsed = 0.0
+    while elapsed < seconds:
+        _spin(min(chunk, max(64, int(rate * (seconds - elapsed)))))
+        elapsed = time.perf_counter() - t0
+    return elapsed
 
 
-def run_cgi(cpu_seconds: float, io_seconds: float) -> Tuple[float, float]:
-    """Execute one request's demand on the calling (worker) thread.
-
-    Returns the measured ``(cpu, io)`` seconds — what a real profiler
-    would report, and what the master's online demand sampler consumes.
-    """
-    cpu_used = burn_cpu(cpu_seconds)
-    io_used = 0.0
-    if io_seconds > 0:
-        t0 = time.perf_counter()
-        time.sleep(io_seconds)
-        io_used = time.perf_counter() - t0
-    return cpu_used, io_used
+def wait_disk(seconds: float) -> float:
+    """Block the calling thread for ``seconds`` of simulated disk; return
+    the measured elapsed."""
+    t0 = time.perf_counter()
+    time.sleep(seconds)
+    return time.perf_counter() - t0
 
 
 class BusyMeter:
-    """Thread-safe cumulative CPU/disk busy-seconds for one node.
+    """Cumulative CPU/disk busy-seconds for one node.
 
-    Workers call :meth:`add` when a request finishes; the load daemon
+    The pool calls :meth:`add` when a request finishes; the load daemon
     calls :meth:`sample` once per heartbeat period to turn the running
     totals into utilisations over the elapsed window, normalised by the
     pool ``capacity`` (a node with ``k`` workers can accumulate ``k``
-    busy-seconds per wall second).
+    busy-seconds per wall second).  Every call comes from the node's
+    event-loop thread, so no lock is needed.
     """
 
-    __slots__ = ("capacity", "_lock", "_cpu_total", "_io_total",
+    __slots__ = ("capacity", "_cpu_total", "_io_total",
                  "_last_cpu", "_last_io", "_last_time", "active")
 
     def __init__(self, capacity: int, now: float = 0.0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._cpu_total = 0.0
         self._io_total = 0.0
         self._last_cpu = 0.0
@@ -146,29 +142,25 @@ class BusyMeter:
         self.active = 0
 
     def add(self, cpu_seconds: float, io_seconds: float) -> None:
-        with self._lock:
-            self._cpu_total += cpu_seconds
-            self._io_total += io_seconds
+        self._cpu_total += cpu_seconds
+        self._io_total += io_seconds
 
     def begin(self) -> None:
-        with self._lock:
-            self.active += 1
+        self.active += 1
 
     def end(self) -> None:
-        with self._lock:
-            self.active = max(0, self.active - 1)
+        self.active = max(0, self.active - 1)
 
     def sample(self, now: float) -> Tuple[float, float]:
         """``(cpu_idle_ratio, disk_avail_ratio)`` over the last window."""
-        with self._lock:
-            window = now - self._last_time
-            if window <= 0:
-                return 1.0, 1.0
-            cpu_busy = self._cpu_total - self._last_cpu
-            io_busy = self._io_total - self._last_io
-            self._last_cpu = self._cpu_total
-            self._last_io = self._io_total
-            self._last_time = now
+        window = now - self._last_time
+        if window <= 0:
+            return 1.0, 1.0
+        cpu_busy = self._cpu_total - self._last_cpu
+        io_busy = self._io_total - self._last_io
+        self._last_cpu = self._cpu_total
+        self._last_io = self._io_total
+        self._last_time = now
         denom = window * self.capacity
         cpu_idle = 1.0 - min(1.0, max(0.0, cpu_busy / denom))
         disk_avail = 1.0 - min(1.0, max(0.0, io_busy / denom))

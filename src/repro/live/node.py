@@ -1,18 +1,23 @@
 """The per-node execution substrate: worker pool + framed remote-CGI service.
 
 Every node of the live cluster — slave or master — owns one
-:class:`WorkerPool`: a ``ThreadPoolExecutor`` gated by an
-:class:`asyncio.Semaphore` of the same width, the live analogue of the
-simulator's per-node multiprogramming level.  The pool realises request
-demands through the calibrated burn/sleep kernel and accounts the measured
-busy seconds to the node's :class:`~repro.live.kernel.BusyMeter` (which
-the load daemon turns into the CPU-idle/disk-avail heartbeats the RSRC
-predictor consumes).
+:class:`WorkerPool`: an :class:`asyncio.Semaphore` whose width is the
+live analogue of the simulator's per-node multiprogramming level.  The
+pool realises request demands through the calibrated burn/sleep kernel:
+CPU demand is burned on the node's event-loop thread in slices of at most
+:data:`SLICE_SECONDS`, yielding to the loop between slices, and only a
+nonzero disk wait is parked on a ``ThreadPoolExecutor`` thread of the same
+width.  The burn is pure Python, so threads would buy it no parallelism
+under the GIL, only a hand-off per request, and two burns overlapped on
+threads would each reach their wall-clock deadline with about half the
+CPU they report.  The pool accounts the measured busy seconds to the
+node's :class:`~repro.live.kernel.BusyMeter` (which the load daemon turns
+into the CPU-idle/disk-avail heartbeats the RSRC predictor consumes).
 
 On top of the pool, :class:`CGIService` exposes the node to its peers: a
 TCP server speaking the length-prefixed protocol of
 :mod:`repro.live.protocol`.  For each ``cgi`` frame it immediately acks
-``admit``, emits ``start`` when a worker picks the request up, and
+``admit``, emits ``start`` when the request takes a pool slot, and
 reports ``done`` with the measured CPU/disk seconds (feedback for the
 master's online demand sampler).
 
@@ -33,16 +38,22 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.live import protocol
-from repro.live.kernel import BusyMeter, LiveClock, calibrate, run_cgi
+from repro.live.kernel import (BusyMeter, LiveClock, burn_cpu, calibrate,
+                               wait_disk)
 from repro.live.loadd import LoadReporter
 from repro.sim.config import MonitorConfig
 
 #: Startup handshake line printed by a slave process on stdout.
 READY_PREFIX = "REPRO-SLAVE-READY"
 
+#: Longest uninterrupted CPU burn on the event loop, seconds.  Between
+#: slices the loop serves sockets, timers and the other admitted burns, so
+#: this bounds how long one request can stall the node.
+SLICE_SECONDS = 1e-3
+
 
 class WorkerPool:
-    """Bounded execution of request demands on real worker threads."""
+    """Bounded execution of request demands on the node's event loop."""
 
     def __init__(self, node_id: int, workers: int, meter: BusyMeter):
         if workers < 1:
@@ -51,8 +62,9 @@ class WorkerPool:
         self.workers = workers
         self.meter = meter
         self.semaphore = asyncio.Semaphore(workers)
+        #: Parks disk waits only; CPU never leaves the loop thread.
         self.executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"cgi-{node_id}")
+            max_workers=workers, thread_name_prefix=f"disk-{node_id}")
         self.completed = 0
 
     async def run(self, cpu_seconds: float, io_seconds: float,
@@ -61,16 +73,26 @@ class WorkerPool:
         """Execute one demand; returns measured ``(cpu, io)`` seconds.
 
         ``on_start`` fires (synchronously, on the event loop) the moment a
-        worker slot is acquired — the live "left the backlog" signal.
+        slot is acquired — the live "left the backlog" signal.
         """
         self.meter.begin()
         try:
             async with self.semaphore:
                 if on_start is not None:
                     on_start()
-                loop = asyncio.get_running_loop()
-                cpu_used, io_used = await loop.run_in_executor(
-                    self.executor, run_cgi, cpu_seconds, io_seconds)
+                cpu_used = burn_cpu(min(cpu_seconds, SLICE_SECONDS))
+                while cpu_used < cpu_seconds:
+                    await asyncio.sleep(0)
+                    cpu_used += burn_cpu(
+                        min(cpu_seconds - cpu_used, SLICE_SECONDS))
+                io_used = 0.0
+                if io_seconds > 0:
+                    # A timer cannot stand in for this sleep: the selector
+                    # rounds timeouts up to whole milliseconds, and disk
+                    # waits are tens of microseconds.
+                    loop = asyncio.get_running_loop()
+                    io_used = await loop.run_in_executor(
+                        self.executor, wait_disk, io_seconds)
             self.meter.add(cpu_used, io_used)
             self.completed += 1
             return cpu_used, io_used
@@ -259,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--node", type=int, required=True,
                         help="this node's cluster-wide id")
     parser.add_argument("--workers", type=int, default=2,
-                        help="worker threads (multiprogramming level)")
+                        help="pool slots (multiprogramming level)")
     parser.add_argument("--masters-udp", required=True,
                         help="comma-separated host:port heartbeat targets")
     parser.add_argument("--host", default="127.0.0.1")

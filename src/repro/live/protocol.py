@@ -41,7 +41,8 @@ node -> master (all tagged with the request id they concern):
 ``{"op": "admit", "id": R}``
     The request was accepted and queued behind the worker pool.
 ``{"op": "start", "id": R}``
-    A worker began executing the request.
+    The request took a pool slot (left the backlog); its CPU burn
+    begins.
 ``{"op": "done", "id": R, "cpu": s, "io": s}``
     Execution finished; ``cpu``/``io`` are the *measured* seconds, which
     the master feeds back into its online demand sampler.
@@ -144,7 +145,10 @@ def decode_message(payload: bytes) -> dict:
     """Parse one frame payload into a message dict (validates ``op``)."""
     try:
         msg = json.loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON, and also an integer
+        # literal past the interpreter's digit limit; RecursionError is
+        # deep nesting.  A peer can send any of them inside MAX_FRAME.
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(msg, dict) or "op" not in msg:
         raise ProtocolError(f"frame is not an op message: {msg!r}")

@@ -13,9 +13,10 @@ The documented acceptance band is deliberately generous —
 ``TOLERANCE = 4.0`` — because the two substrates differ in ways the model
 does not try to capture:
 
-* the live host in CI has **one CPU core**: concurrent CPU burns contend
-  through the GIL and stretch each other's wall time, while the simulator
-  gives every node its own processor;
+* the live host in CI has **one CPU core**: each node burns CPU demand on
+  its event-loop thread in 1 ms slices, so the requests a node admits
+  take turns on that thread and every node's process shares the one
+  core, while the simulator gives every node its own processor;
 * live requests pay real syscall/framing/HTTP overhead (~0.5–2 ms per
   hop on loopback) that the simulator folds into one fixed network
   latency;

@@ -6,6 +6,8 @@ import asyncio
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.live import protocol
 
@@ -79,3 +81,52 @@ def test_hello_handshake():
             await protocol.expect_hello(bad)
 
     asyncio.run(scenario())
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@st.composite
+def chunked(draw, data: bytes):
+    """``data`` cut at arbitrary points (empty chunks included)."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=12)))
+    bounds = [0, *cuts, len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(),
+       st.lists(st.binary(max_size=4096), max_size=8))
+def test_decoder_recovers_payloads_however_chunked(data, payloads):
+    stream = b"".join(protocol.encode_frame(p) for p in payloads)
+    dec = protocol.FrameDecoder()
+    out = []
+    for chunk in data.draw(chunked(stream)):
+        out.extend(dec.feed(chunk))
+    assert out == payloads
+    assert dec.pending_bytes == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(),
+       st.integers(protocol.MAX_FRAME + 1, 2**32 - 1),
+       st.binary(max_size=64))
+def test_oversized_prefix_rejected_however_chunked(data, length, tail):
+    stream = struct.pack(">I", length) + tail
+    dec = protocol.FrameDecoder()
+    with pytest.raises(protocol.ProtocolError):
+        for chunk in data.draw(chunked(stream)):
+            dec.feed(chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=256))
+@example(b"[" * 100_000)             # nesting past the recursion limit
+@example(b'{"op":"cgi","id":' + b"9" * 5000 + b"}")   # int digit limit
+@example(b"\xff\xfe\x00")            # undecodable text
+def test_decode_message_raises_only_protocol_error(payload):
+    try:
+        msg = protocol.decode_message(payload)
+    except protocol.ProtocolError:
+        return
+    assert isinstance(msg, dict) and "op" in msg
