@@ -1,27 +1,29 @@
 """Substrate adapters: how control decisions touch a running cluster.
 
 Two adapters present the same :class:`~repro.control.controller.ControlAdapter`
-surface to the reconciliation loop:
+surface to the reconciliation loop.  They share one body, which reads and
+actuates the dispatch policy: it retunes the theta'_2 reservation cap,
+refreshes the RSRC weight, picks promotion/demotion candidates, and swaps
+the policy's master/slave role sets (``Policy.set_masters``).  Demotion
+applies the resilience layer's graceful drain to the *role*: the node
+keeps executing everything already routed to it, it just stops being an
+accept/static target — so conservation holds with zero aborts.  Each
+substrate supplies only its clock, its size, its completions, its
+promotable slaves with their suspicion flags, and the side effect of a
+role change:
 
 :class:`SimAdapter`
-    Mutates a live :class:`~repro.sim.cluster.Cluster` mid-run — swaps
-    the policy's master/slave role sets (``Policy.set_masters``),
-    rewrites the theta'_2 reservation cap, and refreshes the RSRC weight.
-    Demotion follows the PR-1 graceful-drain principle applied to the
-    *role*: the node keeps executing everything already routed to it
-    (``Cluster._routes`` tracks in-flight work by request id, not by
-    role), it just stops being an accept/static target — so conservation
-    holds with zero aborts.  Promotion re-registers the node with the
+    Reads a running :class:`~repro.sim.cluster.Cluster`.  Promotion
+    re-registers the node with the
     :class:`~repro.sim.monitor.LoadMonitor` (re-baselines its busy
     counters) so the first post-promotion load sample reflects the new
     duty cycle rather than averaging across roles.
 
 :class:`LiveAdapter`
-    Drives the same transitions from the live master over the PR-4
-    protocol: the routing tables flip locally (the master owns dispatch)
-    and a ``role`` frame notifies the affected node, which acknowledges
-    with ``role_ok``; the node is then re-registered with the loadd
-    tier (:meth:`~repro.live.loadd.LoadTable.mark_alive` — heartbeat
+    Reads the live master.  A role change sends a ``role`` frame to the
+    affected node, which acknowledges with ``role_ok``, and re-registers
+    the node with the loadd tier
+    (:meth:`~repro.live.loadd.LoadTable.mark_alive` — heartbeat
     probation restarts, so dispatch treats the node cautiously until a
     fresh run of heartbeats arrives in its new role).
 
@@ -35,7 +37,7 @@ and ticks it every ``cfg.period``.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Iterator, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.controller import (
     DEMOTE,
@@ -56,37 +58,132 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 __all__ = ["SimAdapter", "SimControlLoop", "LiveAdapter", "LiveControlLoop"]
 
 
-def _apply_tuning(policy, action: ControlAction) -> bool:
-    """Shared RETUNE_THETA / SET_W actuation against an M/S policy."""
-    if action.kind == RETUNE_THETA:
-        res = getattr(policy, "reservation", None)
-        if res is None or action.value is None:
+class _Adapter:
+    """The substrate-independent body of both adapters.
+
+    Everything the controller reads or actuates through the dispatch
+    policy lives here; a substrate supplies ``now``, ``num_nodes``,
+    :meth:`_completions`, :meth:`_slaves` and :meth:`_role_changed`.
+    """
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self._ingested = 0
+
+    # -- substrate hooks -------------------------------------------------------
+
+    def _completions(self, start: int) -> Iterator[Tuple[int, float, float]]:
+        """``(kind, cpu, io)`` of every completion from index ``start``."""
+        raise NotImplementedError
+
+    def _slaves(self) -> Iterator[Tuple[int, bool]]:
+        """``(node_id, suspect)`` of each promotable slave, by id."""
+        raise NotImplementedError
+
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        """Side effect of one applied role change on the substrate."""
+        raise NotImplementedError
+
+    # -- observation -----------------------------------------------------------
+
+    def master_ids(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.policy.master_ids))
+
+    def poll(self, estimator: WorkloadEstimator) -> int:
+        """Feed completions recorded since the last tick."""
+        n = 0
+        for kind, cpu, io in self._completions(self._ingested):
+            estimator.observe(kind, cpu, io)
+            n += 1
+        self._ingested += n
+        return n
+
+    def theta_cap(self) -> float:
+        res = self.policy.reservation
+        return res.theta_cap if res is not None else 1.0
+
+    def rsrc_w(self) -> float:
+        return self.policy.default_w
+
+    def own_cap(self) -> None:
+        res = self.policy.reservation
+        if res is not None:
+            res.external_cap = True
+
+    # -- role candidates -------------------------------------------------------
+
+    def promote_candidate(self) -> Optional[int]:
+        """Lowest-id promotable slave that is not suspect, else the
+        lowest-id suspect one."""
+        fallback: Optional[int] = None
+        for node_id, suspect in self._slaves():
+            if not suspect:
+                return node_id
+            if fallback is None:
+                fallback = node_id
+        return fallback
+
+    def demote_candidate(self, min_masters: int) -> Optional[int]:
+        """Highest-id demotable master (never the front-end accept node)."""
+        masters = sorted(self.policy.master_ids, reverse=True)
+        if len(masters) <= min_masters:
+            return None
+        accept = getattr(self.policy, "accept_node", None)
+        for i in masters:
+            if i != accept:
+                return i
+        return None
+
+    # -- actuation -------------------------------------------------------------
+
+    def apply(self, action: ControlAction) -> bool:
+        policy = self.policy
+        if action.kind == RETUNE_THETA:
+            res = getattr(policy, "reservation", None)
+            if res is None or action.value is None:
+                return False
+            res.theta_cap = float(action.value)
+            return True
+        if action.kind == SET_W:
+            if action.value is None:
+                return False
+            w = min(1.0, max(0.0, float(action.value)))
+            policy.default_w = w
+            sampler = getattr(policy, "sampler", None)
+            if sampler is not None:
+                sampler.default_w = w
+            return True
+        masters = set(policy.master_ids)
+        if action.kind == PROMOTE:
+            if action.node_id in masters:
+                return False
+            masters.add(action.node_id)
+        elif action.kind == DEMOTE:
+            # Graceful role drain: no aborts — in-flight work routed while
+            # the node was a master finishes on it (conservation tracks
+            # requests, not roles); the node merely stops being a static/
+            # accept target from this instant.
+            if (action.node_id not in masters or len(masters) <= 1
+                    or action.node_id == getattr(policy, "accept_node",
+                                                 None)):
+                return False
+            masters.discard(action.node_id)
+        else:
             return False
-        res.theta_cap = float(action.value)
+        policy.set_masters(masters)
+        self._role_changed(action.node_id, action.kind == PROMOTE)
         return True
-    if action.kind == SET_W:
-        if action.value is None:
-            return False
-        w = min(1.0, max(0.0, float(action.value)))
-        policy.default_w = w
-        sampler = getattr(policy, "sampler", None)
-        if sampler is not None:
-            sampler.default_w = w
-        return True
-    return False
 
 
 # -- simulator substrate ------------------------------------------------------
 
 
-class SimAdapter:
+class SimAdapter(_Adapter):
     """Control-plane view of a running simulated cluster."""
 
     def __init__(self, cluster: "Cluster") -> None:
+        super().__init__(cluster.policy)
         self.cluster = cluster
-        self._ingested = 0
-
-    # -- observation -----------------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -96,91 +193,27 @@ class SimAdapter:
     def num_nodes(self) -> int:
         return len(self.cluster.nodes)
 
-    def master_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.cluster.policy.master_ids))
-
-    def poll(self, estimator: WorkloadEstimator) -> int:
-        """Feed completions recorded since the last tick."""
+    def _completions(self, start: int) -> Iterator[Tuple[int, float, float]]:
         m = self.cluster.metrics
         kinds, demands, cpus = m.kinds, m.demands, m.cpu_demands
-        start, end = self._ingested, len(kinds)
-        for i in range(start, end):
+        for i in range(start, len(kinds)):
             cpu = cpus[i]
-            estimator.observe(kinds[i], cpu, demands[i] - cpu)
-        self._ingested = end
-        return end - start
+            yield kinds[i], cpu, demands[i] - cpu
 
-    def theta_cap(self) -> float:
-        res = self.cluster.policy.reservation
-        return res.theta_cap if res is not None else 1.0
-
-    def rsrc_w(self) -> float:
-        return self.cluster.policy.default_w
-
-    def own_cap(self) -> None:
-        res = self.cluster.policy.reservation
-        if res is not None:
-            res.external_cap = True
-
-    # -- role candidates -------------------------------------------------------
-
-    def promote_candidate(self) -> Optional[int]:
-        """Lowest-id healthy slave: alive, not draining, not suspect."""
+    def _slaves(self) -> Iterator[Tuple[int, bool]]:
+        """Alive, not draining, not a master."""
         cluster = self.cluster
-        masters = set(cluster.policy.master_ids)
+        masters = set(self.policy.master_ids)
         suspect = cluster.monitor.suspect
-        best_fallback: Optional[int] = None
-        for i in range(len(cluster.nodes)):
-            if i in masters or i in cluster._draining:
-                continue
-            if cluster.nodes[i].failed:
-                continue
-            if not suspect[i]:
-                return i
-            if best_fallback is None:
-                best_fallback = i
-        return best_fallback
+        for i, node in enumerate(cluster.nodes):
+            if not (i in masters or i in cluster._draining or node.failed):
+                yield i, bool(suspect[i])
 
-    def demote_candidate(self, min_masters: int) -> Optional[int]:
-        """Highest-id demotable master (never the front-end accept node)."""
-        policy = self.cluster.policy
-        masters = sorted(policy.master_ids, reverse=True)
-        if len(masters) <= min_masters:
-            return None
-        accept = getattr(policy, "accept_node", None)
-        for i in masters:
-            if i != accept:
-                return i
-        return None
-
-    # -- actuation -------------------------------------------------------------
-
-    def apply(self, action: ControlAction) -> bool:
-        policy = self.cluster.policy
-        if action.kind in (RETUNE_THETA, SET_W):
-            return _apply_tuning(policy, action)
-        masters = set(policy.master_ids)
-        if action.kind == PROMOTE:
-            if action.node_id in masters:
-                return False
-            masters.add(action.node_id)
-            policy.set_masters(masters)
-            # Re-register with the monitor: re-baseline busy counters so
-            # the next sample measures the node in its new role.
-            self.cluster.monitor.reregister(action.node_id)
-            return True
-        if action.kind == DEMOTE:
-            if (action.node_id not in masters or len(masters) <= 1
-                    or action.node_id == getattr(policy, "accept_node", None)):
-                return False
-            masters.discard(action.node_id)
-            # Graceful role drain: no aborts — in-flight work routed while
-            # the node was a master finishes on it (conservation tracks
-            # requests, not roles); the node merely stops being a static/
-            # accept target from this instant.
-            policy.set_masters(masters)
-            return True
-        return False
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        # Re-register with the monitor: re-baseline busy counters so the
+        # next sample measures the node in its new role.
+        if promoted:
+            self.cluster.monitor.reregister(node_id)
 
 
 class SimControlLoop:
@@ -216,12 +249,12 @@ class SimControlLoop:
 # -- live substrate -----------------------------------------------------------
 
 
-class LiveAdapter:
+class LiveAdapter(_Adapter):
     """Control-plane view of the live master (PR-4 substrate)."""
 
     def __init__(self, master: "MasterServer") -> None:
+        super().__init__(master.policy)
         self.master = master
-        self._ingested = 0
         self._role_seq = 0
 
     @property
@@ -232,99 +265,40 @@ class LiveAdapter:
     def num_nodes(self) -> int:
         return self.master.num_nodes
 
-    def master_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.master.policy.master_ids))
-
-    def poll(self, estimator: WorkloadEstimator) -> int:
+    def _completions(self, start: int) -> Iterator[Tuple[int, float, float]]:
         metrics = self.master.metrics
         records, splits = metrics.records, metrics.splits
-        start, end = self._ingested, len(records)
-        for i in range(start, end):
+        for i in range(start, len(records)):
             cpu, io = splits[i]
-            estimator.observe(records[i][1], cpu, io)
-        self._ingested = end
-        return end - start
+            yield records[i][1], cpu, io
 
-    def theta_cap(self) -> float:
-        res = self.master.policy.reservation
-        return res.theta_cap if res is not None else 1.0
-
-    def rsrc_w(self) -> float:
-        return self.master.policy.default_w
-
-    def own_cap(self) -> None:
-        res = self.master.policy.reservation
-        if res is not None:
-            res.external_cap = True
-
-    def promote_candidate(self) -> Optional[int]:
-        """Lowest-id connected slave whose heartbeats are current."""
+    def _slaves(self) -> Iterator[Tuple[int, bool]]:
+        """Connected peers that are not masters."""
         master = self.master
-        masters = set(master.policy.master_ids)
+        masters = set(self.policy.master_ids)
         suspect = master.table.suspect_array(master.clock.now)
-        best_fallback: Optional[int] = None
         for i in sorted(master.peers):
-            peer = master.peers[i]
-            if i in masters or not peer.connected:
-                continue
-            if not suspect[i]:
-                return i
-            if best_fallback is None:
-                best_fallback = i
-        return best_fallback
+            if i not in masters and master.peers[i].connected:
+                yield i, bool(suspect[i])
 
-    def demote_candidate(self, min_masters: int) -> Optional[int]:
-        """Highest-id master other than the front-end node itself."""
-        master = self.master
-        masters = sorted(master.policy.master_ids, reverse=True)
-        if len(masters) <= min_masters:
-            return None
-        for i in masters:
-            if i != master.policy.accept_node:
-                return i
-        return None
-
-    def apply(self, action: ControlAction) -> bool:
-        master = self.master
-        policy = master.policy
-        if action.kind in (RETUNE_THETA, SET_W):
-            return _apply_tuning(policy, action)
-        masters = set(policy.master_ids)
-        if action.kind == PROMOTE:
-            if action.node_id in masters:
-                return False
-            masters.add(action.node_id)
-        elif action.kind == DEMOTE:
-            if (action.node_id not in masters
-                    or action.node_id == policy.accept_node
-                    or len(masters) <= 1):
-                return False
-            masters.discard(action.node_id)
-        else:
-            return False
-        policy.set_masters(masters)
-        self._notify_role(action.node_id,
-                          "master" if action.kind == PROMOTE else "slave")
-        # loadd re-registration: heartbeat probation restarts so dispatch
-        # treats the node cautiously until it reports in its new role.
-        master.table.mark_alive(action.node_id)
-        return True
-
-    def _notify_role(self, node_id: int, role: str) -> None:
-        """Best-effort ROLE frame to the affected node (ack is async)."""
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        """Best-effort ROLE frame to the node (ack is async), then loadd
+        re-registration: heartbeat probation restarts so dispatch treats
+        the node cautiously until it reports in its new role."""
         from repro.live import protocol
 
         peer = self.master.peers.get(node_id)
-        if peer is None or peer.writer is None:
-            return
-        self._role_seq += 1
-        try:
-            protocol.send_message(peer.writer, {
-                "op": "role", "node": node_id, "role": role,
-                "seq": self._role_seq,
-            })
-        except (ConnectionResetError, RuntimeError):
-            pass   # reader loop handles the disconnect bookkeeping
+        if peer is not None and peer.writer is not None:
+            self._role_seq += 1
+            try:
+                protocol.send_message(peer.writer, {
+                    "op": "role", "node": node_id,
+                    "role": "master" if promoted else "slave",
+                    "seq": self._role_seq,
+                })
+            except (ConnectionResetError, RuntimeError):
+                pass   # reader loop handles the disconnect bookkeeping
+        self.master.table.mark_alive(node_id)
 
 
 class LiveControlLoop:

@@ -31,8 +31,9 @@ class LoadView(Protocol):
     """What a policy is allowed to observe about the cluster.
 
     Besides membership (``alive``) a view reports *health*: a node is
-    healthy when it is alive and not suspect (failed probe, stale sample,
-    post-recovery probation; see :class:`repro.sim.cluster.ClusterView`).
+    healthy when it is alive and not suspect (failed probe, silent
+    heartbeat, post-recovery probation; see
+    :class:`repro.sim.monitor.NodeTable`).
     """
 
     @property
@@ -48,8 +49,6 @@ class LoadView(Protocol):
     def active_requests(self, node_id: int) -> int: ...
 
     def is_alive(self, node_id: int) -> bool: ...
-
-    def all_alive(self) -> bool: ...
 
     def alive_array(self) -> np.ndarray: ...
 

@@ -7,9 +7,9 @@ datagram carrying its CPU-idle and disk-available ratios (from its
 :class:`~repro.live.kernel.BusyMeter`), and every master folds the
 datagrams into a :class:`LoadTable`.
 
-Staleness reuses the suspicion semantics of the simulator's monitor /
-resilience layer (:class:`repro.sim.monitor.LoadMonitor`, PR 1): a node
-whose heartbeat has not arrived for ``suspect_after`` seconds is marked
+The table is the simulator's own :class:`repro.sim.monitor.NodeTable`
+(smoothing, suspicion and probation) fed by heartbeats: a node whose
+heartbeat has not arrived for ``suspect_after`` seconds is marked
 *suspect* and excluded from RSRC candidate sets before any formal failure
 detection; a returning node sits out ``probation_samples`` heartbeats
 before being trusted again, because its first reports describe an idle
@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.live.kernel import BusyMeter
 from repro.sim.config import MonitorConfig
+from repro.sim.monitor import NodeTable
 
 
 def encode_heartbeat(node_id: int, seq: int, cpu_idle: float,
@@ -49,33 +50,43 @@ def decode_heartbeat(data: bytes) -> Optional[dict]:
     """Parse one datagram; ``None`` for garbage (UDP is unauthenticated)."""
     try:
         msg = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):
+        # ValueError covers undecodable text, JSONDecodeError and integer
+        # literals past the interpreter's digit limit; RecursionError,
+        # deep nesting.
         return None
     if not isinstance(msg, dict) or "node" not in msg or "seq" not in msg:
         return None
     return msg
 
 
-class LoadTable:
+#: Largest value the table's int64 ``seq`` and ``active`` arrays can hold.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class LoadTable(NodeTable):
     """A master's view of every node's load, built from heartbeats.
+
+    On top of the shared :class:`~repro.sim.monitor.NodeTable` it keeps
+    the per-node sequence number (dedup), in-flight count, receipt time
+    and transport-level ``dead`` flag.  Silence is a miss: a heartbeat
+    arriving after a gap longer than ``suspect_after``, a reconnect
+    (:meth:`mark_alive`), and a read of suspicion while a node is silent
+    (:meth:`suspect_array`) each call :meth:`~NodeTable.miss`.
 
     All mutation happens on the master's event-loop thread (datagram
     callbacks and local observes), so no locking is needed.
     """
 
-    __slots__ = ("num_nodes", "cfg", "cpu_idle", "disk_avail", "active",
-                 "last_heard", "last_seq", "dead", "_ok_streak",
-                 "heartbeats", "rejected")
+    __slots__ = ("active", "last_heard", "last_seq", "dead", "heartbeats",
+                 "rejected")
 
     def __init__(self, num_nodes: int, cfg: Optional[MonitorConfig] = None):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        self.num_nodes = num_nodes
-        self.cfg = cfg or MonitorConfig()
-        self.cfg.validate()
-        #: Smoothed ratios, optimistically 1.0 until first heartbeat.
-        self.cpu_idle = np.ones(num_nodes)
-        self.disk_avail = np.ones(num_nodes)
+        cfg = cfg or MonitorConfig()
+        cfg.validate()
+        super().__init__(num_nodes, cfg)
         self.active = np.zeros(num_nodes, dtype=np.intp)
         #: Receipt time of the last accepted heartbeat per node; -inf means
         #: never heard (a node that never reported is suspect, not trusted).
@@ -84,67 +95,59 @@ class LoadTable:
         #: Nodes whose transport failed outright (broken CGI connection);
         #: excluded from dispatch until the connection is re-established.
         self.dead = np.zeros(num_nodes, dtype=bool)
-        #: Consecutive accepted heartbeats since the node was last suspect
-        #: (probation: a returning node must report a few times in a row).
-        self._ok_streak = np.full(num_nodes, self.cfg.probation_samples,
-                                  dtype=np.intp)
         self.heartbeats = 0
         self.rejected = 0
 
     def observe(self, node_id: int, seq: int, cpu_idle: float,
                 disk_avail: float, active: int, now: float) -> bool:
-        """Fold one heartbeat in; returns False if it was rejected."""
-        if not 0 <= node_id < self.num_nodes:
-            self.rejected += 1
+        """Fold one heartbeat in; returns False if it was rejected.
+
+        Every field is checked before any state changes, so a rejected
+        heartbeat leaves the table as it was.
+        """
+        if (not 0 <= node_id < self.num_nodes
+                or not 0 <= seq <= _INT64_MAX or active > _INT64_MAX
+                or seq <= self.last_seq[node_id]):
+            self.rejected += 1          # unknown node, reordered or replayed
             return False
-        if seq <= self.last_seq[node_id]:
-            self.rejected += 1          # reordered or duplicated datagram
-            return False
-        # A gap in heartbeats restarts probation; an unbroken stream works
-        # it off (probation itself must not reset the streak, or a
-        # returning node would never be trusted again).
-        was_stale = (now - self.last_heard[node_id]) > self.cfg.suspect_after
+        if now - self.last_heard[node_id] > self.cfg.suspect_after:
+            self.miss(node_id)          # a gap restarts probation
         self.last_seq[node_id] = seq
         self.last_heard[node_id] = now
-        self.active[node_id] = max(0, int(active))
-        s = self.cfg.smoothing
-        self.cpu_idle[node_id] = (
-            s * min(1.0, max(0.0, cpu_idle))
-            + (1.0 - s) * self.cpu_idle[node_id])
-        self.disk_avail[node_id] = (
-            s * min(1.0, max(0.0, disk_avail))
-            + (1.0 - s) * self.disk_avail[node_id])
-        self._ok_streak[node_id] = (
-            1 if was_stale else self._ok_streak[node_id] + 1)
+        self.active[node_id] = max(0, active)
+        self.report(node_id, cpu_idle, disk_avail)
         self.heartbeats += 1
         return True
 
     def observe_datagram(self, data: bytes, now: float) -> bool:
         msg = decode_heartbeat(data)
-        if msg is None:
-            self.rejected += 1
-            return False
-        try:
-            return self.observe(int(msg["node"]), int(msg["seq"]),
-                                float(msg.get("cpu_idle", 1.0)),
-                                float(msg.get("disk_avail", 1.0)),
-                                int(msg.get("active", 0)), now)
-        except (TypeError, ValueError):
-            self.rejected += 1
-            return False
+        if msg is not None:
+            try:
+                fields = (int(msg["node"]), int(msg["seq"]),
+                          float(msg.get("cpu_idle", 1.0)),
+                          float(msg.get("disk_avail", 1.0)),
+                          int(msg.get("active", 0)))
+            except (TypeError, ValueError, OverflowError):
+                pass
+            else:
+                return self.observe(*fields, now)
+        self.rejected += 1
+        return False
 
     def mark_dead(self, node_id: int) -> None:
         self.dead[node_id] = True
 
     def mark_alive(self, node_id: int) -> None:
         self.dead[node_id] = False
-        self._ok_streak[node_id] = 0    # probation after a reconnect
+        self.miss(node_id)              # probation after a reconnect
 
     def suspect_array(self, now: float) -> np.ndarray:
-        """Stale-heartbeat / on-probation flags, recomputed at ``now``."""
-        stale = (now - self.last_heard) > self.cfg.suspect_after
-        probation = self._ok_streak < self.cfg.probation_samples
-        return stale | probation
+        """Suspicion at ``now``, after marking silent nodes (read-only)."""
+        silent = (now - self.last_heard) > self.cfg.suspect_after
+        if silent.any():
+            for node_id in np.flatnonzero(silent):
+                self.miss(node_id)
+        return self.suspect
 
 
 class LiveLoadView:
@@ -178,9 +181,6 @@ class LiveLoadView:
 
     def is_alive(self, node_id: int) -> bool:
         return not bool(self.table.dead[node_id])
-
-    def all_alive(self) -> bool:
-        return not self.table.dead.any()
 
     def alive_array(self) -> np.ndarray:
         return ~self.table.dead

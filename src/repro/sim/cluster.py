@@ -39,11 +39,7 @@ from repro.obs.trace import (
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.failures import FailurePolicy
-from repro.sim.metrics import (
-    AvailabilityReport,
-    MetricsCollector,
-    MetricsReport,
-)
+from repro.sim.metrics import AvailabilityReport, MetricsCollector
 from repro.sim.monitor import LoadMonitor
 from repro.sim.node import Node
 from repro.sim.process import SimProcess
@@ -57,8 +53,9 @@ class ClusterView:
     Values come from the periodic :class:`LoadMonitor`, so they are stale by
     up to one monitoring period — as they would be when polling ``rstat()``.
     The *suspicion* flags are part of the view: nodes whose probes fail or
-    whose samples are stale are excluded from candidate sets by policies
-    before the crash is formally detected (see :meth:`healthy_array`).
+    that are still on post-recovery probation are excluded from candidate
+    sets by policies before the crash is formally detected (see
+    :meth:`healthy_array`).
     """
 
     __slots__ = ("_cluster",)
@@ -89,10 +86,6 @@ class ClusterView:
 
     def is_alive(self, node_id: int) -> bool:
         return bool(self._cluster.alive[node_id])
-
-    def all_alive(self) -> bool:
-        """O(1) fast path: no node is out of service."""
-        return self._cluster.alive_count == self._cluster.cfg.num_nodes
 
     def alive_array(self) -> np.ndarray:
         """Read-only membership snapshot (do not mutate)."""
@@ -454,41 +447,6 @@ class Cluster:
             max_events: Optional[int] = None) -> int:
         """Run the event loop; see :meth:`Engine.run`."""
         return self.engine.run(until=until, max_events=max_events)
-
-    def replay(self, requests: Iterable[Request], drain: float = 60.0,
-               warmup: float = 0.0) -> MetricsReport:
-        """Submit a trace, run it to completion, and summarise.
-
-        Parameters
-        ----------
-        requests:
-            The trace, in any order: the engine's event queue orders the
-            arrivals by time.
-        drain:
-            Extra virtual time allowed after the last arrival for queued
-            work to finish.
-        warmup:
-            Passed through to :meth:`MetricsCollector.report`.
-        """
-        n = self.submit_many(requests)
-        if n == 0:
-            raise ValueError("empty trace")
-        last_arrival = max(self.metrics_last_arrival(), 0.0)
-        deadline = last_arrival + drain
-        self.run(until=deadline)
-        # Under heavy load queues may still be draining: extend, bounded.
-        extensions = 0
-        while any(node.active for node in self.nodes) and extensions < 20:
-            deadline += drain
-            self.run(until=deadline)
-            extensions += 1
-        return self.metrics.report(warmup=warmup)
-
-    def metrics_last_arrival(self) -> float:
-        """Latest scheduled arrival time (for drain sizing)."""
-        arrive = self._arrive_cb
-        times = [t for t, fn in self.engine.iter_pending() if fn == arrive]
-        return max(times) if times else self.engine.now
 
     # -- availability accounting ---------------------------------------------------
 

@@ -209,12 +209,14 @@ class MonitorConfig:
     #: Exponential smoothing factor applied to utilisation samples
     #: (1.0 = use the raw last-window value).
     smoothing: float = 0.7
-    #: Suspicion: a node whose ``rstat()`` probe has not succeeded for this
-    #: long is marked *suspect* and excluded from RSRC candidate sets even
-    #: before its crash is formally detected.
+    #: Suspicion on the live substrate: a node whose heartbeat has not
+    #: arrived for this long is marked *suspect* and excluded from RSRC
+    #: candidate sets even before its crash is formally detected.  The
+    #: simulator probes every node each period, so there suspicion comes
+    #: from failed probes only and this knob has no effect.
     suspect_after: float = 1.0
-    #: Consecutive successful probes a suspect node must pass before it is
-    #: trusted again (recovered/recruited nodes report stale-idle load, so
+    #: Consecutive successful probes (or heartbeats) a suspect node must
+    #: pass before it is trusted again (recovered/recruited nodes report stale-idle load, so
     #: immediately trusting them herds every dynamic request onto them).
     probation_samples: int = 2
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.policies import FlatPolicy, Policy, Route, make_ms
 from repro.sim.cluster import Cluster
 from repro.sim.config import paper_sim_config
+from repro.workload.replay import replay
 from tests.conftest import make_cgi, make_static
 
 
@@ -76,16 +77,15 @@ class TestMetricsIntegration:
         assert len(cluster.metrics) == 50
 
     def test_replay_returns_report(self, small_config):
-        cluster = Cluster(small_config, FlatPolicy(4, seed=1))
         reqs = [make_static(req_id=i, arrival=0.01 * i) for i in range(50)]
-        report = cluster.replay(reqs)
+        report = replay(small_config, FlatPolicy(4, seed=1), reqs,
+                        warmup_fraction=0.0).report
         assert report.completed == 50
         assert report.overall.stretch >= 1.0
 
     def test_replay_empty_trace_rejected(self, small_config):
-        cluster = Cluster(small_config, FlatPolicy(4, seed=1))
         with pytest.raises(ValueError):
-            cluster.replay([])
+            replay(small_config, FlatPolicy(4, seed=1), [])
 
 
 class TestBackgroundJobs:
@@ -128,13 +128,12 @@ class TestView:
 
     def test_deterministic_replay(self, small_config):
         def run():
-            cluster = Cluster(paper_sim_config(num_nodes=4, seed=7),
-                              make_ms(4, 2, seed=3))
             reqs = ([make_static(req_id=i, arrival=0.002 * i)
                      for i in range(100)]
                     + [make_cgi(req_id=100 + i, arrival=0.01 * i)
                        for i in range(20)])
-            return cluster.replay(reqs)
+            return replay(paper_sim_config(num_nodes=4, seed=7),
+                          make_ms(4, 2, seed=3), reqs).report
 
         r1, r2 = run(), run()
         assert r1.overall.stretch == r2.overall.stretch

@@ -97,8 +97,43 @@ class TestReregister:
         engine.run(until=1.05)
         assert monitor.cpu_idle[1] < 0.5
 
-    def test_probe_freshness_renewed(self, engine):
-        cfg, nodes, monitor = build(engine)
-        engine.run(until=0.5)
+    def test_reregister_leaves_health_alone(self, engine):
+        """A role change is not a recovery: no probation starts, and a
+        node already on probation works it off on schedule."""
+        cfg, nodes, monitor = build(engine, period=0.1)
+        nodes[0].failed = True
+        engine.run(until=0.15)               # one failed probe
+        nodes[0].failed = False
+        engine.run(until=0.25)               # one good probe of two
         monitor.reregister(0)
-        assert monitor._last_probe_ok[0] == pytest.approx(0.5)
+        monitor.reregister(1)
+        assert list(monitor.suspect) == [True, False]
+        engine.run(until=0.35)               # second good probe
+        assert not monitor.suspect.any() and not monitor.any_suspect
+
+
+class TestSuspicion:
+    def test_running_node_never_suspect_with_long_period(self, engine):
+        """Suspicion is per probe: a period longer than ``suspect_after``
+        never makes a node that answers every probe suspect."""
+        cfg, nodes, monitor = build(engine, period=2.0)
+        cfg.monitor.suspect_after = 1.0
+        for i in range(20):
+            nodes[i % 2].admit(make_cgi(req_id=i, cpu=0.5, io=0.2,
+                                        mem_pages=0))
+        for k in range(1, 12):
+            engine.run(until=1.5 * k)
+            assert not monitor.suspect.any()
+            assert not monitor.any_suspect
+        assert monitor.samples == 8
+
+    def test_failed_probe_suspects_until_probation_passes(self, engine):
+        cfg, nodes, monitor = build(engine, period=0.1)
+        nodes[1].failed = True
+        engine.run(until=0.35)
+        assert list(monitor.suspect) == [False, True] and monitor.any_suspect
+        nodes[1].failed = False
+        engine.run(until=0.45)
+        assert monitor.suspect[1]            # one good probe of two
+        engine.run(until=0.55)
+        assert not monitor.suspect.any() and not monitor.any_suspect

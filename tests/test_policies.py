@@ -49,14 +49,11 @@ class FakeView:
     def is_alive(self, i):
         return bool(self.alive[i])
 
-    def all_alive(self):
-        return bool(self.alive.all())
-
     def alive_array(self):
         return self.alive
 
     def all_healthy(self):
-        return self.all_alive()
+        return bool(self.alive.all())
 
     def healthy_array(self):
         return self.alive

@@ -162,9 +162,6 @@ class TestHeteroMSPolicy:
             num_nodes = 4
             now = 0.0
 
-            def all_alive(self):
-                return True
-
             def all_healthy(self):
                 return True
 
